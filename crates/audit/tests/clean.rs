@@ -15,8 +15,15 @@ use bbmg_trace::{repair, write_trace, Trace};
 use bbmg_workloads::random::{random_model, RandomModelConfig};
 use proptest::prelude::*;
 
+/// A directory per test thread: the vendored `proptest!` registers each
+/// property twice, and the two copies run concurrently.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bbmg-audit-clean-{tag}-{}", std::process::id()));
+    let thread = format!("{:?}", std::thread::current().id());
+    let thread: String = thread.chars().filter(char::is_ascii_digit).collect();
+    let dir = std::env::temp_dir().join(format!(
+        "bbmg-audit-clean-{tag}-{}-{thread}",
+        std::process::id()
+    ));
     fs::create_dir_all(&dir).expect("scratch dir");
     dir
 }

@@ -186,8 +186,9 @@ fn workload_words(trace: &Trace) -> usize {
         .saturating_mul(tasks.saturating_mul(tasks))
 }
 
-/// Runs the learner per the command-line choice — the plain learner for
-/// [`OnError::Abort`], the robust (quarantining) learner otherwise —
+/// Runs the learner per the command-line choice — the paper's strict
+/// learner for [`OnError::Abort`], otherwise the quarantining
+/// [`bbmg_core::IncrementalLearner`] that `--checkpoint` also drives —
 /// streaming events into `observer`.
 pub(crate) fn run_learner<O: Observer + ?Sized>(
     trace: &Trace,
@@ -297,7 +298,7 @@ pub(crate) mod ckpt {
     ) -> Result<LearnResult, CliError> {
         let mut since_save = 0usize;
         let mut dirty = start == 0 && trace.periods().is_empty();
-        for period in trace.periods().iter().skip(start) {
+        for (i, period) in trace.periods().iter().enumerate().skip(start) {
             match learner.push_period_with(period, observer)? {
                 Observed::Accepted | Observed::Skipped(_) => {
                     since_save += 1;
@@ -308,10 +309,8 @@ pub(crate) mod ckpt {
                         }
                     }
                 }
-                Observed::BudgetStopped { period: p } => {
-                    for unprocessed in p..trace.periods().len() {
-                        learner.mark_unprocessed(unprocessed);
-                    }
+                Observed::BudgetStopped { .. } => {
+                    learner.mark_unprocessed(&trace.periods()[i..]);
                     dirty = true;
                     break;
                 }
@@ -1199,7 +1198,7 @@ pub(crate) mod corpus {
 
     use bbmg_core::pool::WorkerPool;
     use bbmg_core::{
-        payload_checksum, trace_fingerprints, Checkpoint, IncrementalLearner, ModelCache, Observed,
+        payload_checksum, trace_fingerprints, Checkpoint, IncrementalLearner, ModelCache,
         OnInconsistent, CORPUS_SCHEMA,
     };
     use bbmg_obs::json::escape;
@@ -1417,14 +1416,9 @@ pub(crate) mod corpus {
                         Some(c) => IncrementalLearner::resume(c)?,
                         None => IncrementalLearner::new(trace.task_count(), learn),
                     };
-                    let mut complete = true;
                     let start = learner.pushed_periods();
-                    for period in &trace.periods()[start..] {
-                        if let Observed::BudgetStopped { .. } = learner.push_period(period)? {
-                            complete = false;
-                            break;
-                        }
-                    }
+                    let complete =
+                        learner.push_periods_with(&trace.periods()[start..], &mut NoopObserver)?;
                     let checkpoint = learner.checkpoint();
                     let converged = learner.finish().converged();
                     Ok((checkpoint, complete, converged))
@@ -1954,6 +1948,44 @@ mod tests {
         ]);
         assert!(again.contains("resuming at period 3 of 3"), "{again}");
         assert_eq!(tail(&again), tail(&direct));
+    }
+
+    #[test]
+    fn skip_learn_falls_back_identically_with_and_without_checkpoint() {
+        // The capture `tests/degradation.rs` pins: the exact learner trips
+        // a set limit of 256 on it, and seeding the bounded fallback from
+        // the exact antichain gives a more specific model than replaying
+        // the accepted periods would. Both runs must take the seeded one.
+        use bbmg_workloads::random::{random_trace, RandomModelConfig};
+        let dir = std::env::temp_dir().join("bbmg_cli_fallback");
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = RandomModelConfig {
+            tasks: 7,
+            seed: 9,
+            ..RandomModelConfig::default()
+        };
+        let capture = random_trace(&config, 8, 9).unwrap().trace;
+        let trace = dir.join("random7.txt");
+        let ckpt = dir.join("model.ckpt");
+        std::fs::write(&trace, bbmg_trace::write_trace(&capture)).unwrap();
+        let flags = [
+            "learn",
+            trace.to_str().unwrap(),
+            "--on-error",
+            "skip",
+            "--exact",
+            "--set-limit",
+            "256",
+            "--hypotheses",
+        ];
+        let batch = run_to_string(&flags);
+        let mut with_ckpt = flags.to_vec();
+        with_ckpt.extend(["--checkpoint", ckpt.to_str().unwrap()]);
+        let checkpointed = run_to_string(&with_ckpt);
+        assert!(batch.contains("fell back"), "{batch}");
+        // A replay fallback answers weight 80 here.
+        assert!(batch.contains("hypothesis 1 (weight 75)"), "{batch}");
+        assert_eq!(batch, checkpointed);
     }
 
     #[test]

@@ -43,13 +43,13 @@ use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
+use bbmg_obs::NoopObserver;
 use bbmg_trace::{EventKind, Trace};
 
 use crate::checkpoint::{payload_checksum, Checkpoint, CheckpointError};
 use crate::error::LearnError;
 use crate::incremental::IncrementalLearner;
 use crate::options::LearnOptions;
-use crate::robust::Observed;
 use crate::LearnResult;
 
 /// Schema tag of the aggregate corpus report emitted by `bbmg corpus`.
@@ -469,7 +469,8 @@ impl ModelCache {
     }
 
     /// Pushes `trace.periods()[start..]` into `learner`, caches the
-    /// completed model, and finishes.
+    /// completed model, and finishes. A budget stop marks the remaining
+    /// periods unprocessed and leaves the partial model uncached.
     fn drive(
         &mut self,
         mut learner: IncrementalLearner,
@@ -478,17 +479,10 @@ impl ModelCache {
         fingerprints: &TraceFingerprints,
         hit: CacheHit,
     ) -> Result<CachedLearn, CacheError> {
-        let mut stopped = false;
-        for period in &trace.periods()[start..] {
-            match learner.push_period(period).map_err(CacheError::Learn)? {
-                Observed::BudgetStopped { .. } => {
-                    stopped = true;
-                    break;
-                }
-                Observed::Accepted | Observed::Skipped(_) => {}
-            }
-        }
-        if !stopped {
+        let complete = learner
+            .push_periods_with(&trace.periods()[start..], &mut NoopObserver)
+            .map_err(CacheError::Learn)?;
+        if complete {
             self.insert(fingerprints.full(), &learner.checkpoint())?;
         }
         Ok(CachedLearn {
@@ -718,6 +712,37 @@ mod tests {
         assert!(!cache.contains(fb));
         assert!(cache.contains(fc));
         assert!(!cache.entry_path(fb).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn budget_stop_accounts_for_every_period_and_is_not_cached() {
+        use bbmg_workloads::random::{random_trace, RandomModelConfig};
+        let dir = temp_dir("budget");
+        let config = RandomModelConfig {
+            tasks: 8,
+            seed: 1,
+            ..RandomModelConfig::default()
+        };
+        let trace = random_trace(&config, 8, 1).unwrap().trace;
+        let options =
+            LearnOptions::bounded(8).with_budget(crate::Budget::unlimited().with_max_steps(2000));
+        let mut cache = cache(&dir, 8);
+
+        let stopped = cache.learn(&trace, options).unwrap();
+        let stats = stopped.result.stats();
+        assert!(!stats.skipped_periods.is_empty(), "the budget trips");
+        assert_eq!(
+            stats.periods + stats.skipped_periods.len(),
+            trace.periods().len(),
+            "every period accounted for"
+        );
+        let direct = crate::robust_learn(&trace, options).unwrap();
+        assert_eq!(stopped.result.hypotheses(), direct.hypotheses());
+        assert_eq!(stats.skipped_periods, direct.stats().skipped_periods);
+
+        assert!(cache.is_empty(), "a partial model is never cached");
+        assert_eq!(cache.learn(&trace, options).unwrap().hit, CacheHit::Miss);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

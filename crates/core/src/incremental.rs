@@ -1,20 +1,41 @@
-//! The incremental learning engine: push periods one at a time, snapshot
-//! to a [`Checkpoint`] at any boundary, resume later — byte-identically.
+//! The learning engine with graceful degradation: push periods one at a
+//! time, snapshot to a [`Checkpoint`] at any boundary, resume later —
+//! byte-identically.
 //!
-//! [`IncrementalLearner`] is the crash-safe successor to feeding a whole
-//! [`Trace`](bbmg_trace::Trace) through [`learn`](crate::learn): the same
-//! degradation policy as [`RobustLearner`](crate::RobustLearner)
-//! (quarantine, exact→bounded fallback, budget early-stop), but with state
-//! that is *checkpointable* in `O(hypotheses)` rather than `O(trace)`.
-//! The classic robust learner keeps every accepted period so a fallback
-//! can replay them into a fresh bounded learner; that history is exactly
-//! what a checkpoint must not carry. Here a fallback instead **seeds** the
-//! bounded learner with the current exact antichain and re-observes only
-//! the period that tripped the limit. This is sound — the exact antichain
-//! is a complete summary of everything accepted so far (Theorem 2), and
-//! bounded-mode merging only ever generalizes — and it makes the learner's
-//! full state equal to (antichain, history bitmap, options, stats,
-//! counters): precisely what [`Checkpoint`] captures.
+//! The plain [`Learner`] is brittle by design: one inconsistent period
+//! empties the hypothesis set and the whole run is lost. That is correct
+//! for trusted traces, but a field capture from a real bus logger *will*
+//! contain periods the model of computation cannot explain.
+//! [`IncrementalLearner`] trades completeness for survival, under three
+//! rules:
+//!
+//! * **Quarantine** — with [`OnInconsistent::SkipPeriod`], a period that
+//!   would empty the hypothesis set is rolled back and recorded in
+//!   [`LearnStats::skipped_periods`] with the killing message.
+//! * **Fallback** — if the exact algorithm trips its
+//!   [`set_limit`](crate::LearnOptions::set_limit) or
+//!   [`Budget`](crate::Budget), the learner switches to the bounded
+//!   heuristic. The bounded learner is **seeded** with the current exact
+//!   antichain and re-observes only the period that tripped the limit.
+//!   This is sound — the exact antichain is a complete summary of
+//!   everything accepted so far (Theorem 2), and bounded-mode merging only
+//!   ever generalizes — and it keeps the learner's full state equal to
+//!   (antichain, history bitmap, options, stats, counters): `O(model)`,
+//!   not `O(trace)`, and precisely what [`Checkpoint`] captures. The
+//!   budget spans the whole run, so a budget trip falls back only if the
+//!   rolled-back learner has budget left; otherwise it is an early stop.
+//! * **Early stop** — if the budget runs out in bounded mode, or is spent
+//!   at a period boundary, there is nothing left to fall back on; the run
+//!   keeps its partial result and the driver reports the unprocessed
+//!   periods as skipped.
+//!
+//! All three degradations are *sound* for the learned model: dropping
+//! observations can only leave the result less constrained (closer to
+//! `d⊥`-unknowns) than the fully-informed one — never in contradiction
+//! with the observations that were kept. See DESIGN.md § Fault model and
+//! degradation policy. [`robust_learn`] runs the ladder over a whole
+//! trace; the CLI, the corpus cache, `bbmg serve` and `audit --replay`
+//! all drive the same engine.
 //!
 //! The defining invariant, enforced by the `checkpoint_roundtrip` proptest
 //! and the kill-and-resume chaos test:
@@ -27,15 +48,34 @@ use std::num::NonZeroUsize;
 
 use bbmg_lattice::DependencyFunction;
 use bbmg_obs::{Event, NoopObserver, Observer};
-use bbmg_trace::Period;
+use bbmg_trace::{Period, Trace};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::error::LearnError;
 use crate::history::ExecutionHistory;
 use crate::learner::{LearnResult, Learner};
 use crate::options::{LearnOptions, OnInconsistent};
-use crate::robust::{Observed, DEFAULT_FALLBACK_BOUND};
 use crate::stats::{LearnStats, SkipCause, SkippedPeriod};
+
+/// Default bound used when falling back from the exact algorithm.
+pub const DEFAULT_FALLBACK_BOUND: usize = 64;
+
+/// What [`IncrementalLearner::push_period`] did with a period.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Observed {
+    /// The period was learned from.
+    Accepted,
+    /// The period was quarantined; the learner state is as if it had never
+    /// been seen.
+    Skipped(SkippedPeriod),
+    /// The budget ran out with no fallback left; the period was not processed
+    /// and the caller should stop feeding (each further period will report
+    /// the same). The partial result remains valid.
+    BudgetStopped {
+        /// Index of the unprocessed period.
+        period: usize,
+    },
+}
 
 /// A checkpointable period-at-a-time learner with graceful degradation.
 ///
@@ -161,10 +201,8 @@ impl IncrementalLearner {
         crate::checkpoint::antichain_fingerprint(&functions)
     }
 
-    /// Processes one period under the degradation policy (see
-    /// [`RobustLearner::observe`](crate::RobustLearner::observe) for the
-    /// ladder; the fallback rung seeds the bounded learner from the
-    /// current antichain instead of replaying the trace).
+    /// Processes one period under the degradation policy (see the module
+    /// docs for the ladder).
     ///
     /// The call is transactional: on any `Err` the learner is exactly as
     /// it was before the period, so a supervisor can keep serving the last
@@ -193,15 +231,38 @@ impl IncrementalLearner {
         self.push_inner(period, true, observer)
     }
 
-    /// Records `period` as unprocessed due to budget exhaustion without
-    /// touching the learner (bookkeeping after
-    /// [`Observed::BudgetStopped`] — no silent data loss).
-    pub fn mark_unprocessed(&mut self, period: usize) {
-        let skip = SkippedPeriod {
-            period,
+    /// Records every period in `rest` — the budget-stopped one and all
+    /// after it — as unprocessed due to budget exhaustion without touching
+    /// the learner (bookkeeping after [`Observed::BudgetStopped`] — no
+    /// silent data loss).
+    pub fn mark_unprocessed(&mut self, rest: &[Period]) {
+        let skips = rest.iter().map(|period| SkippedPeriod {
+            period: period.index(),
             cause: SkipCause::BudgetExhausted,
-        };
-        self.learner.stats_mut().skipped_periods.push(skip);
+        });
+        self.learner.stats_mut().skipped_periods.extend(skips);
+    }
+
+    /// Pushes `periods` in order. After a budget stop, that period and
+    /// every later one are marked unprocessed. Returns `false` if the
+    /// budget stopped the run.
+    ///
+    /// # Errors
+    ///
+    /// As [`push_period`](Self::push_period); the periods pushed before
+    /// the error stay learned.
+    pub fn push_periods_with<O: Observer + ?Sized>(
+        &mut self,
+        periods: &[Period],
+        observer: &mut O,
+    ) -> Result<bool, LearnError> {
+        for (i, period) in periods.iter().enumerate() {
+            if let Observed::BudgetStopped { .. } = self.push_period_with(period, observer)? {
+                self.mark_unprocessed(&periods[i..]);
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Forces the exact→bounded degradation now (used by the serve layer
@@ -367,10 +428,18 @@ impl IncrementalLearner {
                 self.pushed_periods += 1;
                 Ok(Observed::Skipped(skip))
             }
-            Err(LearnError::SetLimitExceeded { .. } | LearnError::BudgetExhausted { .. })
-                if allow_fallback && self.learner.options().bound.is_none() =>
-            {
+            Err(
+                err @ (LearnError::SetLimitExceeded { .. } | LearnError::BudgetExhausted { .. }),
+            ) if allow_fallback && self.learner.options().bound.is_none() => {
                 self.learner = snapshot;
+                // The budget is the run's, not the engine's: a fallback
+                // keeps the spent steps and clock. If nothing is left, the
+                // bounded learner could not start, so stop instead.
+                if let LearnError::BudgetExhausted { period: p, .. } = err {
+                    if self.learner.budget_spent() {
+                        return Ok(Observed::BudgetStopped { period: p });
+                    }
+                }
                 self.fall_back(observer);
                 self.push_inner(period, false, observer)
             }
@@ -409,6 +478,33 @@ impl IncrementalLearner {
             bound: self.fallback_bound.get(),
         });
     }
+}
+
+/// Runs the [`IncrementalLearner`] over every period of `trace`. After a
+/// budget stop the remaining periods are recorded as skipped and the
+/// partial result is returned.
+///
+/// # Errors
+///
+/// See [`IncrementalLearner::push_period`].
+pub fn robust_learn(trace: &Trace, options: LearnOptions) -> Result<LearnResult, LearnError> {
+    robust_learn_with(trace, options, &mut NoopObserver)
+}
+
+/// [`robust_learn`] with instrumentation (see
+/// [`IncrementalLearner::push_period_with`]).
+///
+/// # Errors
+///
+/// See [`IncrementalLearner::push_period`].
+pub fn robust_learn_with<O: Observer + ?Sized>(
+    trace: &Trace,
+    options: LearnOptions,
+    observer: &mut O,
+) -> Result<LearnResult, LearnError> {
+    let mut learner = IncrementalLearner::new(trace.task_count(), options);
+    learner.push_periods_with(trace.periods(), observer)?;
+    Ok(learner.finish())
 }
 
 #[cfg(test)]
@@ -474,6 +570,15 @@ mod tests {
         builder.finish()
     }
 
+    /// A good period, an inconsistent one, and another good one.
+    fn mixed_trace() -> Trace {
+        let mut builder = TraceBuilder::new(universe3());
+        consistent_period(&mut builder, 0, 1);
+        inconsistent_period(&mut builder, 1000);
+        consistent_period(&mut builder, 2000, 1);
+        builder.finish()
+    }
+
     fn run_all(learner: &mut IncrementalLearner, trace: &Trace, from: usize) {
         for period in &trace.periods()[from..] {
             learner.push_period(period).unwrap();
@@ -513,11 +618,7 @@ mod tests {
 
     #[test]
     fn quarantine_rolls_back_and_counts() {
-        let mut builder = TraceBuilder::new(universe3());
-        consistent_period(&mut builder, 0, 1);
-        inconsistent_period(&mut builder, 1000);
-        consistent_period(&mut builder, 2000, 1);
-        let trace = builder.finish();
+        let trace = mixed_trace();
         let options = LearnOptions::exact().with_on_inconsistent(OnInconsistent::SkipPeriod);
         let mut learner = IncrementalLearner::new(3, options);
         assert_eq!(
@@ -525,16 +626,20 @@ mod tests {
             Observed::Accepted
         );
         let before = learner.fingerprint();
+        let Observed::Skipped(skip) = learner.push_period(&trace.periods()[1]).unwrap() else {
+            panic!("the inconsistent period is quarantined");
+        };
+        assert_eq!(skip.period, 1);
         assert!(matches!(
-            learner.push_period(&trace.periods()[1]).unwrap(),
-            Observed::Skipped(_)
+            skip.cause,
+            SkipCause::Inconsistent { message: Some(_) }
         ));
         assert_eq!(learner.fingerprint(), before, "skip restores state");
         assert_eq!(learner.pushed_periods(), 2, "skips advance the stream");
         learner.push_period(&trace.periods()[2]).unwrap();
         let result = learner.finish();
         assert_eq!(result.stats().periods, 2);
-        assert_eq!(result.stats().skipped_periods.len(), 1);
+        assert_eq!(result.stats().skipped_periods, [skip]);
     }
 
     #[test]
@@ -631,7 +736,7 @@ mod tests {
             }
         }
         let p = stopped_at.expect("budget trips");
-        learner.mark_unprocessed(p);
+        learner.mark_unprocessed(&trace.periods()[p..]);
         let result = learner.finish();
         assert!(!result.hypotheses().is_empty());
         assert!(result
@@ -639,6 +744,210 @@ mod tests {
             .skipped_periods
             .iter()
             .any(|s| s.cause == SkipCause::BudgetExhausted));
+    }
+
+    #[test]
+    fn abort_policy_propagates_inconsistency() {
+        let err = robust_learn(&mixed_trace(), LearnOptions::exact()).unwrap_err();
+        assert!(matches!(
+            err,
+            LearnError::Inconsistent {
+                period: 1,
+                message: Some(_)
+            }
+        ));
+    }
+
+    #[test]
+    fn spent_budget_stops_exact_mode_without_a_fallback() {
+        // Period 0 uses up all three steps, so the trip comes at period 1's
+        // boundary check. The budget is the run's: a bounded learner would
+        // start with nothing left, so the run stops in exact mode.
+        let mut builder = TraceBuilder::new(universe3());
+        for p in 0..4 {
+            consistent_period(&mut builder, p * 1000, 2);
+        }
+        let trace = builder.finish();
+        let options = LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(3));
+        let mut learner = IncrementalLearner::new(3, options);
+        assert!(!learner
+            .push_periods_with(trace.periods(), &mut NoopObserver)
+            .unwrap());
+        assert_eq!(learner.options().bound, None, "still exact");
+        let result = learner.finish();
+        assert_eq!(result.stats().fallbacks, 0);
+        assert_eq!(result.stats().periods, 1);
+        let unprocessed: Vec<usize> = result
+            .stats()
+            .skipped_periods
+            .iter()
+            .filter(|s| s.cause == SkipCause::BudgetExhausted)
+            .map(|s| s.period)
+            .collect();
+        assert_eq!(unprocessed, [1, 2, 3]);
+        assert!(!result.hypotheses().is_empty());
+    }
+
+    /// A 16-task trace: one cheap period (a single unambiguous message),
+    /// then — when `with_blowup` — a period whose two messages each have
+    /// 8x8 feasible sender/receiver pairs, generating enough hypotheses to
+    /// cross the sampled budget guard mid-period.
+    fn cheap_then_blowup(with_blowup: bool) -> Trace {
+        let names: Vec<String> = (0..8)
+            .map(|i| format!("s{i}"))
+            .chain((0..8).map(|i| format!("r{i}")))
+            .collect();
+        let u = TaskUniverse::from_names(names);
+        let senders: Vec<_> = (0..8)
+            .map(|i| u.lookup(&format!("s{i}")).unwrap())
+            .collect();
+        let receivers: Vec<_> = (0..8)
+            .map(|i| u.lookup(&format!("r{i}")).unwrap())
+            .collect();
+        let mut b = TraceBuilder::new(u);
+        // Cheap period: only s0 and r0 run, so the message has exactly one
+        // feasible pair.
+        b.begin_period();
+        b.task(senders[0], Timestamp::new(0), Timestamp::new(10))
+            .unwrap();
+        b.message(Timestamp::new(20), Timestamp::new(21)).unwrap();
+        b.task(receivers[0], Timestamp::new(60), Timestamp::new(70))
+            .unwrap();
+        b.end_period().unwrap();
+        if with_blowup {
+            let base = 1000;
+            b.begin_period();
+            for (i, s) in senders.iter().enumerate() {
+                b.event(Timestamp::new(base + i as u64), EventKind::TaskStart(*s))
+                    .unwrap();
+            }
+            for (i, s) in senders.iter().enumerate() {
+                b.event(Timestamp::new(base + 10 + i as u64), EventKind::TaskEnd(*s))
+                    .unwrap();
+            }
+            b.message(Timestamp::new(base + 20), Timestamp::new(base + 21))
+                .unwrap();
+            b.message(Timestamp::new(base + 22), Timestamp::new(base + 23))
+                .unwrap();
+            for (i, r) in receivers.iter().enumerate() {
+                b.event(
+                    Timestamp::new(base + 60 + i as u64),
+                    EventKind::TaskStart(*r),
+                )
+                .unwrap();
+            }
+            for (i, r) in receivers.iter().enumerate() {
+                b.event(Timestamp::new(base + 70 + i as u64), EventKind::TaskEnd(*r))
+                    .unwrap();
+            }
+            b.end_period().unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn mid_period_budget_trip_rolls_back_to_the_last_full_period() {
+        // The boundary check before the blow-up period passes (only a
+        // handful of steps consumed), so the trip happens *mid-period*,
+        // via the sampled guard. The partial branching work must be rolled
+        // back: the result has to be byte-identical to learning a trace
+        // that simply ends after the cheap period.
+        let options =
+            LearnOptions::bounded(16).with_budget(Budget::unlimited().with_max_steps(1024));
+        let mut learner = IncrementalLearner::new(16, options);
+        let full = cheap_then_blowup(true);
+        assert_eq!(
+            learner.push_period(&full.periods()[0]).unwrap(),
+            Observed::Accepted
+        );
+        assert_eq!(
+            learner.push_period(&full.periods()[1]).unwrap(),
+            Observed::BudgetStopped { period: 1 }
+        );
+        assert_eq!(
+            learner.pushed_periods(),
+            1,
+            "a budget stop consumes nothing"
+        );
+
+        let stopped = robust_learn(&full, options).unwrap();
+        let clean = robust_learn(&cheap_then_blowup(false), options).unwrap();
+        assert_eq!(stopped.stats().periods, 1, "only the cheap period counts");
+        assert_eq!(
+            stopped.stats().skipped_periods,
+            vec![SkippedPeriod {
+                period: 1,
+                cause: SkipCause::BudgetExhausted
+            }]
+        );
+        assert_eq!(
+            stopped.hypotheses(),
+            clean.hypotheses(),
+            "no partial branching from the aborted period may leak through"
+        );
+        assert_eq!(learner.finish().hypotheses(), clean.hypotheses());
+    }
+
+    #[test]
+    fn step_budget_trip_in_exact_mode_falls_back() {
+        // The exact learner trips mid-period on the blow-up; rolled back to
+        // the boundary it still has steps left, so the bounded heuristic
+        // takes the period over and finishes the trace.
+        let trace = cheap_then_blowup(true);
+        let options = LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(1024));
+        let mut learner =
+            IncrementalLearner::new(16, options).with_fallback_bound(NonZeroUsize::new(8).unwrap());
+        let complete = learner
+            .push_periods_with(trace.periods(), &mut NoopObserver)
+            .unwrap();
+        assert_eq!(learner.options().bound.map(NonZeroUsize::get), Some(8));
+        let result = learner.finish();
+        assert!(complete, "{:?}", result.stats());
+        assert_eq!(result.stats().fallbacks, 1);
+        assert_eq!(result.stats().periods, 2);
+        assert!(result.stats().skipped_periods.is_empty());
+    }
+
+    #[test]
+    fn zero_wall_clock_budget_accounts_for_every_period() {
+        let trace = mixed_trace();
+        let options = LearnOptions::bounded(8)
+            .with_budget(Budget::unlimited().with_max_wall_clock(std::time::Duration::ZERO));
+        let result = robust_learn(&trace, options).unwrap();
+        assert_eq!(result.stats().periods, 0);
+        assert_eq!(result.stats().skipped_periods.len(), trace.periods().len());
+        assert!(result
+            .stats()
+            .skipped_periods
+            .iter()
+            .all(|s| s.cause == SkipCause::BudgetExhausted));
+        // d-bottom survives: the partial result is the no-information one.
+        assert_eq!(
+            result.hypotheses(),
+            [DependencyFunction::bottom(trace.task_count())]
+        );
+    }
+
+    #[test]
+    fn universe_mismatch_propagates_under_skip_and_keeps_state() {
+        let trace = mixed_trace();
+        let options = LearnOptions::exact().with_on_inconsistent(OnInconsistent::SkipPeriod);
+        let mut learner = IncrementalLearner::new(7, options);
+        let before = learner.checkpoint();
+        let err = learner.push_period(&trace.periods()[0]).unwrap_err();
+        assert!(matches!(
+            err,
+            LearnError::UniverseMismatch {
+                expected: 7,
+                actual: 3
+            }
+        ));
+        let mut after = learner.checkpoint();
+        after.elapsed = before.elapsed;
+        assert_eq!(
+            after, before,
+            "a propagated error leaves the state as it was"
+        );
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl Learner {
         &self.stats
     }
 
-    /// Mutable statistics access for the robust wrapper (recording skips
+    /// Mutable statistics access for the incremental engine (recording skips
     /// and fallbacks without re-deriving counters).
     pub(crate) fn stats_mut(&mut self) -> &mut LearnStats {
         &mut self.stats
@@ -238,6 +238,12 @@ impl Learner {
             stats,
             started: now.checked_sub(elapsed).unwrap_or(now),
         }
+    }
+
+    /// Whether the step/wall-clock budget is already spent, so the next
+    /// period would stop at its boundary check.
+    pub(crate) fn budget_spent(&self) -> bool {
+        self.check_budget(0).is_err()
     }
 
     /// Checks the step/wall-clock budget. `Err` leaves all state intact.
@@ -304,7 +310,7 @@ impl Learner {
     /// inside one period is cut short; a mid-period trip leaves the
     /// learner partially through the period (callers that need
     /// transactional behaviour snapshot first, as
-    /// [`RobustLearner`](crate::RobustLearner) does).
+    /// [`IncrementalLearner`](crate::IncrementalLearner) does).
     /// After an `Inconsistent` error the learner is empty and further
     /// observations keep failing.
     pub fn observe(&mut self, period: &Period) -> Result<(), LearnError> {
@@ -929,14 +935,7 @@ impl LearnResult {
     /// heuristic converges to. `None` if the set is empty.
     #[must_use]
     pub fn lub(&self) -> Option<DependencyFunction> {
-        let mut iter = self.hypotheses.iter();
-        let mut acc = iter.next()?.clone();
-        for d in iter {
-            // In-place word joins: one accumulator allocation for the
-            // whole fold instead of one fresh matrix per hypothesis.
-            acc.join_in_place(d);
-        }
-        Some(acc)
+        lub_of(&self.hypotheses)
     }
 
     /// Run statistics.
@@ -944,6 +943,20 @@ impl LearnResult {
     pub fn stats(&self) -> &LearnStats {
         &self.stats
     }
+}
+
+/// The least upper bound of `functions`, or `None` if there are none.
+pub(crate) fn lub_of<'a>(
+    functions: impl IntoIterator<Item = &'a DependencyFunction>,
+) -> Option<DependencyFunction> {
+    let mut iter = functions.into_iter();
+    let mut acc = iter.next()?.clone();
+    for d in iter {
+        // In-place word joins: one accumulator allocation for the whole
+        // fold instead of one fresh matrix per hypothesis.
+        acc.join_in_place(d);
+    }
+    Some(acc)
 }
 
 /// Runs the learner over every period of `trace`.

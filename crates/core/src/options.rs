@@ -3,7 +3,7 @@
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-/// What [`crate::RobustLearner`] does when a period makes the hypothesis
+/// What [`crate::IncrementalLearner`] does when a period makes the hypothesis
 /// set inconsistent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OnInconsistent {
@@ -25,7 +25,7 @@ pub enum OnInconsistent {
 /// Either limit being reached surfaces as
 /// [`crate::LearnError::BudgetExhausted`], which (unlike the other learner
 /// errors) leaves the hypothesis set intact: the partial result is usable,
-/// and [`crate::RobustLearner`] responds by falling back to the bounded
+/// and [`crate::IncrementalLearner`] responds by falling back to the bounded
 /// heuristic or stopping early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
@@ -120,7 +120,7 @@ pub struct LearnOptions {
     /// Theorem 1). Ignored in bounded mode, where the bound caps the set.
     pub set_limit: Option<NonZeroUsize>,
     /// Degradation policy when a period is inconsistent (honoured by
-    /// [`crate::RobustLearner`]; the plain [`crate::Learner`] always
+    /// [`crate::IncrementalLearner`]; the plain [`crate::Learner`] always
     /// aborts).
     pub on_inconsistent: OnInconsistent,
     /// Step/wall-clock budget, checked before each period.

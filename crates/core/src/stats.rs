@@ -4,7 +4,7 @@ use std::fmt;
 
 use bbmg_trace::MessageId;
 
-/// Why [`crate::RobustLearner`] quarantined a period.
+/// Why [`crate::IncrementalLearner`] quarantined a period.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SkipCause {
     /// The period emptied the hypothesis set; if the failure happened
@@ -29,7 +29,7 @@ impl fmt::Display for SkipCause {
     }
 }
 
-/// One period quarantined during a robust run — no silent data loss: every
+/// One period quarantined during a degrading run — no silent data loss: every
 /// dropped observation is accounted for here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkippedPeriod {
@@ -63,11 +63,11 @@ pub struct LearnStats {
     pub set_sizes_per_period: Vec<usize>,
     /// Sum over messages of the candidate-pair count `|A_m|`.
     pub candidate_pairs_total: usize,
-    /// Periods quarantined by [`crate::RobustLearner`] (empty for plain
-    /// runs).
+    /// Periods quarantined or left unprocessed by
+    /// [`crate::IncrementalLearner`] (empty for plain runs).
     pub skipped_periods: Vec<SkippedPeriod>,
-    /// Times the robust learner fell back from the exact algorithm to the
-    /// bounded heuristic (0 or 1 in practice).
+    /// Times the incremental learner fell back from the exact algorithm
+    /// to the bounded heuristic (0 or 1 in practice).
     pub fallbacks: usize,
 }
 

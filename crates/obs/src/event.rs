@@ -1,6 +1,6 @@
 //! The learner event taxonomy.
 //!
-//! Every instrumented layer — the core learner, the robust wrapper, the
+//! Every instrumented layer — the core learner, the incremental engine, the
 //! trace sanitizer, the fault injector — speaks this one vocabulary, so a
 //! single sink sees the whole pipeline. Hot-path events
 //! ([`MessageBranch`], [`HypothesisSet`], [`Merge`], [`BudgetTick`]) carry
@@ -60,7 +60,7 @@ pub enum Event {
         /// Weight of the merged result.
         merged_weight: u64,
     },
-    /// A period was quarantined (robust learner or trace sanitizer).
+    /// A period was quarantined (incremental learner or trace sanitizer).
     Quarantine {
         /// Period index (original numbering of the emitting layer).
         period: usize,
@@ -88,7 +88,7 @@ pub enum Event {
         /// Fault class, e.g. "dropped_event".
         kind: String,
     },
-    /// The robust learner fell back from the exact algorithm to the
+    /// The incremental learner fell back from the exact algorithm to the
     /// bounded heuristic.
     Fallback {
         /// Bound of the replacement heuristic.

@@ -4,7 +4,7 @@
 //! at increasing rates, runs the degraded capture through the CSV
 //! pipeline under both degradation policies (`skip` = quarantine broken
 //! periods whole, `repair` = sanitize what is fixable), learns with the
-//! robust learner, and scores each learned model against the semantic
+//! quarantining incremental learner (`robust_learn`), and scores each learned model against the semantic
 //! ground truth of the generating design model.
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
@@ -65,7 +65,7 @@ struct PolicyRun {
 
 fn learn_with_policy(trace: &Trace, report: &RepairReport) -> PolicyRun {
     let options = LearnOptions::bounded(64).with_on_inconsistent(OnInconsistent::SkipPeriod);
-    let result = robust_learn(trace, options).expect("robust learning cannot abort on skip");
+    let result = robust_learn(trace, options).expect("learning cannot abort on skip");
     PolicyRun {
         kept: report.kept_periods,
         skipped: result.stats().skipped_periods.len(),

@@ -256,7 +256,7 @@ fn noop_observer_results_are_byte_identical() {
         assert_eq!(
             format!("{:?}", (plain.hypotheses(), plain.stats())),
             format!("{:?}", (observed.hypotheses(), observed.stats())),
-            "robust results identical under a no-op observer"
+            "robust_learn results identical under a no-op observer"
         );
     }
 }
