@@ -97,7 +97,7 @@ lag, shed counts, restarts, memory vs watermark, checkpoint age),
 refreshing every --interval-ms (default 1000) until interrupted;
 --once prints one frame and exits (use it in scripts and CI).
 
-Bulk corpora: `bbmg corpus DIR` walks DIR for `.csv`/`.btrace` trace
+Bulk corpora: `bbmg corpus DIR` walks DIR for `.csv`/`.txt`/`.btrace` trace
 files and learns a model from each, resolving every trace through a
 content-addressed model cache (--cache-dir, default DIR/.bbmg-cache;
 --cache-capacity entries, default 1024): an already-learned trace resumes

@@ -1240,8 +1240,10 @@ pub(crate) mod corpus {
         ))
     }
 
-    /// Collects `.csv`/`.btrace` files under `dir` (recursively), skipping
-    /// the cache directory, sorted by path for a deterministic report.
+    /// Collects `.csv`/`.txt`/`.btrace` files under `dir` (recursively),
+    /// skipping the cache directory, sorted by path for a deterministic
+    /// report. The extension only selects files: [`load_trace`] sniffs
+    /// each one's format from its content.
     fn collect_traces(dir: &Path, cache_dir: &Path) -> Result<Vec<PathBuf>, CliError> {
         let mut files = Vec::new();
         let mut stack = vec![dir.to_path_buf()];
@@ -1255,7 +1257,7 @@ pub(crate) mod corpus {
                     stack.push(path);
                 } else if path
                     .extension()
-                    .is_some_and(|e| e == "csv" || e == "btrace")
+                    .is_some_and(|e| e == "csv" || e == "txt" || e == "btrace")
                 {
                     files.push(path);
                 }
@@ -1274,7 +1276,7 @@ pub(crate) mod corpus {
         let files = collect_traces(&dir, &cache_dir)?;
         if files.is_empty() {
             return Err(CliError::Usage(format!(
-                "no .csv or .btrace trace files under `{}`",
+                "no .csv, .txt or .btrace trace files under `{}`",
                 dir.display()
             )));
         }
@@ -2230,5 +2232,44 @@ mod tests {
             rerun.contains("3 trace(s), 3 full / 0 prefix hit(s), 0 cold learn(s)"),
             "{rerun}"
         );
+    }
+
+    #[test]
+    fn corpus_learns_the_text_captures_simulate_writes() {
+        let dir = std::env::temp_dir().join("bbmg_cli_corpus_text");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = dir.join("gm.txt");
+        let _ = run_to_string(&[
+            "simulate",
+            "--workload",
+            "gm",
+            "--seed",
+            "2007",
+            "-o",
+            text.to_str().unwrap(),
+        ]);
+        let report = dir.join("report.json");
+        let summary = run_to_string(&[
+            "corpus",
+            dir.to_str().unwrap(),
+            "--bound",
+            "16",
+            "--report",
+            report.to_str().unwrap(),
+        ]);
+        assert!(
+            summary.contains("1 trace(s), 0 full / 0 prefix hit(s), 1 cold learn(s)"),
+            "{summary}"
+        );
+        // Content sniffing picked the text parser: the whole GM capture
+        // (18 tasks, 27 periods) learned to the converged model.
+        let document = std::fs::read_to_string(&report).unwrap();
+        assert!(document.contains("gm.txt"), "{document}");
+        assert!(
+            document.contains("\"tasks\":18,\"periods\":27,\"hit\":\"miss\""),
+            "{document}"
+        );
+        assert!(document.contains("\"converged\":true"), "{document}");
     }
 }

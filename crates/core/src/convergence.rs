@@ -10,6 +10,9 @@
 //! distance column reaches 0 early shows the model was already learned;
 //! the hypothesis-count column shows how much ambiguity remained.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use bbmg_lattice::DependencyFunction;
 use bbmg_obs::{Event, NoopObserver, Observer};
 use bbmg_trace::Trace;
@@ -92,38 +95,23 @@ pub fn convergence_timeline_with<O: Observer + ?Sized>(
     } else {
         1
     };
-    let timeline: Vec<ConvergencePoint> = if threads > 1 {
-        let snapshots = std::sync::Arc::new(snapshots);
-        let final_lub = std::sync::Arc::new(final_lub);
-        let jobs: Vec<_> = crate::pool::chunk_ranges(threads, snapshots.len())
-            .into_iter()
-            .map(|range| {
-                let snapshots = std::sync::Arc::clone(&snapshots);
-                let final_lub = std::sync::Arc::clone(&final_lub);
-                move || {
-                    snapshots[range]
-                        .iter()
-                        .map(|(period, hypotheses, lub)| ConvergencePoint {
-                            period: *period,
-                            hypotheses: *hypotheses,
-                            lub_weight: lub.weight(),
-                            distance_to_final: lub.lattice_distance(&final_lub),
-                        })
-                        .collect::<Vec<ConvergencePoint>>()
-                }
-            })
-            .collect();
-        crate::pool::WorkerPool::global().scatter(jobs).concat()
-    } else {
-        snapshots
-            .into_iter()
-            .map(|(period, hypotheses, lub)| ConvergencePoint {
-                period,
-                hypotheses,
+    type Shared = (Vec<(usize, usize, DependencyFunction)>, DependencyFunction);
+    fn points((snapshots, final_lub): &Shared, range: Range<usize>) -> Vec<ConvergencePoint> {
+        let point =
+            |(period, hypotheses, lub): &(usize, usize, DependencyFunction)| ConvergencePoint {
+                period: *period,
+                hypotheses: *hypotheses,
                 lub_weight: lub.weight(),
-                distance_to_final: lub.lattice_distance(&final_lub),
-            })
-            .collect()
+                distance_to_final: lub.lattice_distance(final_lub),
+            };
+        snapshots[range].iter().map(point).collect()
+    }
+    let len = snapshots.len();
+    let shared = Arc::new((snapshots, final_lub));
+    let timeline = if threads > 1 {
+        crate::pool::scatter_chunks(threads, len, &shared, points).concat()
+    } else {
+        points(&shared, 0..len)
     };
     for point in &timeline {
         observer.record(Event::Convergence {

@@ -1,6 +1,7 @@
 //! The incremental generalization engine (paper §3.1–§3.2).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use bbmg_lattice::{DependencyFunction, DependencyValue, FunctionArena, TaskId};
@@ -9,9 +10,9 @@ use bbmg_trace::{Period, Trace};
 
 use crate::error::LearnError;
 use crate::history::ExecutionHistory;
-use crate::hypothesis::Hypothesis;
 use crate::options::{LearnOptions, MergeAssumptions};
 use crate::pool::{self, WorkerPool};
+use crate::rows::{Branch, Dedup, RowShape, Rows};
 use crate::stats::LearnStats;
 
 /// How many generated hypotheses pass between mid-period budget checks.
@@ -45,72 +46,48 @@ pub const PARALLEL_SCAN_WORDS: usize = 32 * 1024;
 
 /// Minimum `hypotheses × candidates × packed words per matrix` product
 /// before bounded-mode child *generation* fans out. Lower than
-/// [`PARALLEL_BRANCH_WORDS`]: bounded-mode children also carry an eager
-/// weight computation into the workers (the reduce needs weights for
-/// merge ordering anyway), so each generated child amortizes more
-/// parallel work.
+/// [`PARALLEL_BRANCH_WORDS`] because a bounded message starts from at
+/// most `bound` hypotheses: a bound-64 set must branch over more than
+/// 1000 candidate pairs per packed word before even this gate opens.
 pub const BOUNDED_BRANCH_WORDS: usize = 64 * 1024;
 
 /// Minimum hypothesis count before negative-example matching fans out
 /// (each `matches_period` call does backtracking, so items are coarse).
 const PARALLEL_MATCH_THRESHOLD: usize = 8;
 
-/// First-seen-order deduplication keyed by cheap 64-bit fingerprints:
-/// full (expensive) `Hypothesis` equality runs only on a fingerprint
-/// collision, against the indexed backing slice.
-#[derive(Default)]
-struct FingerprintDedup {
-    buckets: HashMap<u64, Vec<usize>>,
+/// Per-message reduce state (§3.1–§3.2): the admitted children — and,
+/// in bounded mode, the merged rows after them — as flat rows, the dedup
+/// over *generated* children only (merged rows are never dedup keys, and
+/// a child a merge consumed still is one), and the bounded tail.
+struct Branching {
+    rows: Rows,
+    dedup: Dedup,
+    bounded: Option<Bounded>,
 }
 
-impl FingerprintDedup {
-    /// Whether `candidate` equals a hypothesis already admitted to
-    /// `admitted` under `read`; if not, records it as `index`.
-    fn insert<T>(
-        &mut self,
-        fingerprint: u64,
-        index: usize,
-        candidate: &Hypothesis,
-        admitted: &[T],
-        read: impl Fn(&T) -> &Hypothesis,
-    ) -> bool {
-        let bucket = self.buckets.entry(fingerprint).or_default();
-        if bucket.iter().any(|&i| read(&admitted[i]) == candidate) {
-            return false;
-        }
-        bucket.push(index);
-        true
-    }
-}
-
-/// Per-message reduce state for bounded-mode branching (§3.2): children
-/// live in an arena (they stay there even after a merge consumes them —
-/// dedup is defined over *generated* children, and merged results were
-/// never dedup keys), the working list is a weight-ordered `VecDeque` of
-/// `(weight, arena index)` handles, ascending by weight, FIFO among
-/// equals.
-struct BoundedBranch {
+/// Bounded mode's working list: `(weight, row)` handles ascending by
+/// weight, FIFO among equals; overflow merges the two at the front.
+struct Bounded {
     bound: usize,
     union: bool,
-    arena: Vec<Option<Hypothesis>>,
-    dedup: FingerprintDedup,
     working: VecDeque<(u64, usize)>,
 }
 
-impl BoundedBranch {
-    fn new(bound: usize, union: bool) -> Self {
-        BoundedBranch {
-            bound,
-            union,
-            arena: Vec::new(),
-            dedup: FingerprintDedup::default(),
-            working: VecDeque::new(),
-        }
-    }
-
-    fn insert_working(&mut self, weight: u64, idx: usize) {
+impl Bounded {
+    fn insert(&mut self, weight: u64, row: usize) {
         let pos = self.working.partition_point(|&(w, _)| w <= weight);
-        self.working.insert(pos, (weight, idx));
+        self.working.insert(pos, (weight, row));
+    }
+}
+
+impl Branching {
+    /// The message's surviving set: every admitted child in admission
+    /// order (exact), or the working list in weight order (bounded).
+    fn finish(self) -> Rows {
+        match self.bounded {
+            None => self.rows,
+            Some(bounded) => self.rows.gather(bounded.working.iter().map(|&(_, i)| i)),
+        }
     }
 }
 
@@ -134,7 +111,7 @@ impl BoundedBranch {
 pub struct Learner {
     options: LearnOptions,
     tasks: usize,
-    hypotheses: Vec<Hypothesis>,
+    hypotheses: Vec<DependencyFunction>,
     history: ExecutionHistory,
     stats: LearnStats,
     /// Creation time, the reference point for the wall-clock budget.
@@ -150,15 +127,14 @@ impl Learner {
     /// spawns on the hot path.
     #[must_use]
     pub fn new(tasks: usize, options: LearnOptions) -> Self {
-        pool::warm_up(options.parallelism.get());
-        Learner {
-            options,
+        Self::from_state(
             tasks,
-            hypotheses: vec![Hypothesis::bottom(tasks)],
-            history: ExecutionHistory::new(tasks),
-            stats: LearnStats::default(),
-            started: std::time::Instant::now(),
-        }
+            options,
+            vec![DependencyFunction::bottom(tasks)],
+            ExecutionHistory::new(tasks),
+            LearnStats::default(),
+            std::time::Duration::ZERO,
+        )
     }
 
     /// The options the learner was built with.
@@ -171,7 +147,7 @@ impl Learner {
     /// ordered by ascending weight.
     #[must_use]
     pub fn hypotheses(&self) -> Vec<&DependencyFunction> {
-        self.hypotheses.iter().map(Hypothesis::function).collect()
+        self.hypotheses.iter().collect()
     }
 
     /// Number of hypotheses currently maintained.
@@ -216,10 +192,9 @@ impl Learner {
         self.started.elapsed()
     }
 
-    /// Rebuilds a learner from checkpointed state. Only meaningful at a
-    /// period boundary, where hypotheses carry no assumptions. The budget
-    /// clock resumes from `elapsed`: a restored learner has already spent
-    /// that much of its wall-clock budget.
+    /// Rebuilds a learner from checkpointed state (a period boundary).
+    /// The budget clock resumes from `elapsed`: a restored learner has
+    /// already spent that much of its wall-clock budget.
     pub(crate) fn from_state(
         tasks: usize,
         options: LearnOptions,
@@ -233,7 +208,7 @@ impl Learner {
         Learner {
             options,
             tasks,
-            hypotheses: functions.into_iter().map(Hypothesis::new).collect(),
+            hypotheses: functions,
             history,
             stats,
             started: now.checked_sub(elapsed).unwrap_or(now),
@@ -243,32 +218,16 @@ impl Learner {
     /// Whether the step/wall-clock budget is already spent, so the next
     /// period would stop at its boundary check.
     pub(crate) fn budget_spent(&self) -> bool {
-        self.check_budget(0).is_err()
+        self.check_budget(0, &mut NoopObserver).is_err()
     }
 
-    /// Checks the step/wall-clock budget. `Err` leaves all state intact.
-    fn check_budget(&self, period: usize) -> Result<(), LearnError> {
-        let budget = &self.options.budget;
-        let tripped = budget
-            .max_steps
-            .is_some_and(|limit| self.stats.hypotheses_generated >= limit.get())
-            || budget
-                .max_wall_clock
-                .is_some_and(|limit| self.started.elapsed() >= limit);
-        if tripped {
-            return Err(LearnError::BudgetExhausted {
-                period,
-                steps: self.stats.hypotheses_generated,
-            });
-        }
-        Ok(())
-    }
-
-    /// Sampled mid-period budget check (see [`BUDGET_SAMPLE_INTERVAL`]):
-    /// reads the wall clock at most once per sample window instead of per
-    /// generated hypothesis, and emits a `budget_tick` heartbeat when an
-    /// observer is listening.
-    fn sampled_budget_check<O: Observer + ?Sized>(
+    /// Checks the step/wall-clock budget; `Err` leaves all state intact.
+    /// Runs at every period boundary (with [`NoopObserver`]) and once per
+    /// [`BUDGET_SAMPLE_INTERVAL`] generated hypotheses mid-period, where
+    /// it also emits a `budget_tick` heartbeat when `observer` listens —
+    /// so the wall clock is read at most once per sample window, not per
+    /// generated hypothesis.
+    fn check_budget<O: Observer + ?Sized>(
         &self,
         period: usize,
         observer: &mut O,
@@ -307,12 +266,19 @@ impl Learner {
     /// [`crate::Budget`] ran out — the step/wall-clock guard runs before
     /// the period is touched and then once every
     /// [`BUDGET_SAMPLE_INTERVAL`] generated hypotheses, so a blow-up
-    /// inside one period is cut short; a mid-period trip leaves the
-    /// learner partially through the period (callers that need
+    /// inside one period is cut short; [`LearnError::SetLimitExceeded`]
+    /// if an exact-mode message grows the set past
+    /// [`LearnOptions::set_limit`].
+    ///
+    /// An error is not a rollback. The period's working set lives only
+    /// inside this call, but the execution history and the counters in
+    /// [`stats`](Learner::stats) already include the part of the period
+    /// that ran. After `Inconsistent` or `SetLimitExceeded` the learner
+    /// is empty and further observations keep failing; after a
+    /// mid-period `BudgetExhausted` it still holds the hypothesis set of
+    /// the previous period boundary, unweakened. Callers that need
     /// transactional behaviour snapshot first, as
-    /// [`IncrementalLearner`](crate::IncrementalLearner) does).
-    /// After an `Inconsistent` error the learner is empty and further
-    /// observations keep failing.
+    /// [`IncrementalLearner`](crate::IncrementalLearner) does.
     pub fn observe(&mut self, period: &Period) -> Result<(), LearnError> {
         self.observe_with(period, &mut NoopObserver)
     }
@@ -337,7 +303,7 @@ impl Learner {
                 actual: period.universe(),
             });
         }
-        self.check_budget(period.index())?;
+        self.check_budget(period.index(), &mut NoopObserver)?;
         if self.hypotheses.is_empty() {
             return Err(LearnError::Inconsistent {
                 period: period.index(),
@@ -353,51 +319,43 @@ impl Learner {
         // `→?` when an earlier period already contradicts `→`).
         let executed = period.executed_tasks();
         self.history.observe(executed);
-        for h in &mut self.hypotheses {
-            h.weaken_for_execution(executed);
-        }
+        let shape = RowShape::new(self.tasks);
+        let mut set = Rows::from_functions(shape, &self.hypotheses);
+        set.weaken(&shape.weakening_mask(executed));
 
         // Step 2: message-guided generalization.
         for message in period.messages() {
-            // `Arc` so the branch paths can hand read-only clones to the
-            // persistent worker pool without copying the vectors; the
-            // sequential paths index straight through the `Arc`.
-            let candidates: Arc<Vec<(TaskId, TaskId)>> = Arc::new(if self.options.timing_filter {
+            let candidates = if self.options.timing_filter {
                 period.candidate_pairs(message)
             } else {
                 all_executed_pairs(period)
-            });
+            };
             self.stats.candidate_pairs_total += candidates.len();
             self.stats.messages += 1;
 
-            // The minimal generalization values per candidate pair are
-            // hypothesis-independent: look them up once per message, not
-            // once per (hypothesis, candidate).
-            let joins: Arc<Vec<(DependencyValue, DependencyValue)>> = Arc::new(
-                candidates
-                    .iter()
-                    .map(|&(s, r)| {
-                        if self.options.history_aware {
-                            (
-                                self.history.forward_value(s, r),
-                                self.history.backward_value(s, r),
-                            )
-                        } else {
-                            // Ablation: the naive join that only respects the
-                            // current instance (violates the version-space
-                            // invariant; see LearnOptions::history_aware).
-                            (DependencyValue::Determines, DependencyValue::DependsOn)
-                        }
-                    })
-                    .collect(),
-            );
+            // The minimal generalization per candidate pair is
+            // hypothesis-independent: compute each branch's words once
+            // per message, not once per (hypothesis, candidate).
+            let plan: Vec<Branch> = candidates
+                .iter()
+                .map(|&(s, r)| {
+                    let (forward, backward) = if self.options.history_aware {
+                        (
+                            self.history.forward_value(s, r),
+                            self.history.backward_value(s, r),
+                        )
+                    } else {
+                        // Ablation: the naive join that only respects the
+                        // current instance (violates the version-space
+                        // invariant; see LearnOptions::history_aware).
+                        (DependencyValue::Determines, DependencyValue::DependsOn)
+                    };
+                    shape.branch(s, r, forward, backward)
+                })
+                .collect();
 
             let generated_before = self.stats.hypotheses_generated;
-            let next = if self.options.bound.is_some() {
-                self.branch_bounded(period.index(), observer, &candidates, &joins)?
-            } else {
-                self.branch_exact(period.index(), observer, &candidates, &joins)?
-            };
+            let next = self.branch(period.index(), observer, set, plan)?;
             observer.message_branch(
                 period.index(),
                 message.id.index(),
@@ -406,22 +364,20 @@ impl Learner {
             );
             observer.hypothesis_set(period.index(), next.len());
             self.stats.observe_set_size(next.len());
-            if next.is_empty() {
+            if next.len() == 0 {
                 self.hypotheses.clear();
                 return Err(LearnError::Inconsistent {
                     period: period.index(),
                     message: Some(message.id),
                 });
             }
-            self.hypotheses = next;
+            next.debug_validate("message", false);
+            set = next;
         }
 
         // Step 3: post-processing — strip assumptions, unify, delete
         // redundant hypotheses.
-        for h in &mut self.hypotheses {
-            h.clear_assumptions();
-        }
-        self.remove_redundant();
+        self.remove_redundant(set);
         self.stats.periods += 1;
         self.stats.set_sizes_per_period.push(self.hypotheses.len());
         observer.period_end(period.index(), self.hypotheses.len());
@@ -447,267 +403,105 @@ impl Learner {
         WorkerPool::global().provision(self.options.parallelism.get())
     }
 
-    /// Generates every (hypothesis, candidate) child for one message in
-    /// (hypothesis-major, candidate-minor) order, fanned out over the
-    /// persistent pool in contiguous hypothesis chunks. `map` runs inside
-    /// the workers on each freshly generated child (fingerprinting, eager
-    /// weights — anything side-effect-free); the ordered concatenation of
-    /// chunk outputs is exactly the sequential generation sequence.
+    /// Branches every row of `parents` over `plan` for one message: one
+    /// child per (row, branch) whose pair the row has not assumed yet,
+    /// deduplicated fingerprint-first, then — in bounded mode — inserted
+    /// into the weight-ordered working list, merging the two lowest-weight
+    /// rows on overflow (§3.2).
     ///
-    /// The hypothesis set is moved into an `Arc` for the duration (jobs on
-    /// a persistent pool must be `'static`) and restored afterwards; by the
-    /// time `scatter` returns every worker has dropped its clone, so the
-    /// restore is a move, not a copy.
-    fn generate_children_parallel<T: Send + 'static>(
-        &mut self,
-        threads: usize,
-        candidates: &Arc<Vec<(TaskId, TaskId)>>,
-        joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
-        map: fn(Hypothesis) -> T,
-    ) -> Vec<T> {
-        let hypotheses = Arc::new(std::mem::take(&mut self.hypotheses));
-        let jobs: Vec<_> = pool::chunk_ranges(threads, hypotheses.len())
-            .into_iter()
-            .map(|range| {
-                let hypotheses = Arc::clone(&hypotheses);
-                let candidates = Arc::clone(candidates);
-                let joins = Arc::clone(joins);
-                move || {
-                    let mut out: Vec<T> = Vec::new();
-                    for h in &hypotheses[range] {
-                        for (ci, &(s, r)) in candidates.iter().enumerate() {
-                            if h.assumes(s, r) {
-                                continue;
-                            }
-                            let (forward, backward) = joins[ci];
-                            out.push(map(h.assume_message(s, r, forward, backward)));
-                        }
-                    }
-                    out
-                }
-            })
-            .collect();
-        let chunks = WorkerPool::global().scatter(jobs);
-        self.hypotheses = Arc::try_unwrap(hypotheses).unwrap_or_else(|shared| (*shared).clone());
-        let mut children = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for chunk in chunks {
-            children.extend(chunk);
-        }
-        children
-    }
-
-    /// Exact-mode branching for one message: every (hypothesis, candidate)
-    /// pair spawns a child, deduplicated fingerprint-first.
+    /// The *reduce* ([`admit`](Self::admit): dedup, statistics, budget
+    /// sampling, set-limit checks, merges and observer events) always runs
+    /// on this thread in (row-major, branch-minor) generation order. Each
+    /// bounded overflow merges the two *currently* lowest-weight rows, so
+    /// results depend on exactly this order (Theorem 4's convergence
+    /// argument is about it). Child *generation* only reads `parents` —
+    /// merged rows never spawn children within a message — so with
+    /// `parallelism > 1` and enough work it fans out to the persistent
+    /// pool: each worker fills its own row buffer and `(fingerprint,
+    /// weight)` column for a contiguous chunk of parents, and the reduce
+    /// consumes the chunks in order. The admitted sequence, and with it
+    /// every merge, stat and event, is byte-identical to the sequential
+    /// loop's at any thread count.
     ///
-    /// With `parallelism > 1` and enough work, child *generation* fans out
-    /// to the persistent worker pool in contiguous hypothesis chunks; the
-    /// *reduce* — dedup, statistics, budget sampling, set-limit checks and
-    /// observer events — always runs on this thread, consuming chunks in
-    /// order. Since workers only map over disjoint read-only slices, the
-    /// reduced child sequence is exactly the sequential loop's sequence,
-    /// making results and event streams byte-identical at any thread count.
-    fn branch_exact<O: Observer + ?Sized>(
+    /// Structure: children, and in bounded mode the merged rows after
+    /// them, are appended to one flat row buffer and never move, so a
+    /// child costs a row copy and no allocation. Dedup follows a
+    /// fingerprint's chain of earlier rows (a head index per fingerprint
+    /// plus a next-index column) and compares words only along it. The
+    /// bounded working list is a weight-ordered `VecDeque` of
+    /// `(weight, row)` handles: insertion binary-searches the weights and
+    /// an overflow pops the two lowest in O(1). Fingerprints and weights
+    /// come incrementally from the parent's, since a branch changes at
+    /// most three words.
+    fn branch<O: Observer + ?Sized>(
         &mut self,
         period: usize,
         observer: &mut O,
-        candidates: &Arc<Vec<(TaskId, TaskId)>>,
-        joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
-    ) -> Result<Vec<Hypothesis>, LearnError> {
-        let mut next: Vec<Hypothesis> = Vec::new();
-        let mut dedup = FingerprintDedup::default();
-        let threads = self.branch_threads(
-            self.hypotheses.len(),
-            candidates.len(),
-            PARALLEL_BRANCH_WORDS,
-        );
-        if threads > 1 {
-            let children = self.generate_children_parallel(threads, candidates, joins, |child| {
-                (child.fingerprint(), child)
-            });
-            for (fingerprint, child) in children {
-                self.admit_exact_child(
-                    period,
-                    observer,
-                    &mut next,
-                    &mut dedup,
-                    fingerprint,
-                    child,
-                )?;
-            }
+        parents: Rows,
+        plan: Vec<Branch>,
+    ) -> Result<Rows, LearnError> {
+        let shape = parents.shape();
+        let mut state = Branching {
+            rows: Rows::new(shape),
+            dedup: Dedup::default(),
+            bounded: self.options.bound.map(|bound| Bounded {
+                bound: bound.get(),
+                union: self.options.merge_assumptions == MergeAssumptions::Union,
+                working: VecDeque::new(),
+            }),
+        };
+        let gate = if state.bounded.is_some() {
+            BOUNDED_BRANCH_WORDS
         } else {
-            for hi in 0..self.hypotheses.len() {
-                for (ci, &(s, r)) in candidates.iter().enumerate() {
-                    let h = &self.hypotheses[hi];
-                    if h.assumes(s, r) {
-                        // At most one message per sender/receiver pair per
-                        // period: this pair is spoken for.
-                        continue;
-                    }
-                    let (forward, backward) = joins[ci];
-                    let child = h.assume_message(s, r, forward, backward);
-                    let fingerprint = child.fingerprint();
-                    self.admit_exact_child(
-                        period,
-                        observer,
-                        &mut next,
-                        &mut dedup,
-                        fingerprint,
-                        child,
-                    )?;
-                }
-            }
-        }
-        Ok(next)
-    }
-
-    /// The exact-mode per-child reduce step, shared verbatim by the
-    /// sequential loop and the parallel ordered reduce: dedup → count →
-    /// sampled budget check → admit → set-limit guard, in exactly the
-    /// order the pre-parallel implementation used.
-    fn admit_exact_child<O: Observer + ?Sized>(
-        &mut self,
-        period: usize,
-        observer: &mut O,
-        next: &mut Vec<Hypothesis>,
-        dedup: &mut FingerprintDedup,
-        fingerprint: u64,
-        child: Hypothesis,
-    ) -> Result<(), LearnError> {
-        if !dedup.insert(fingerprint, next.len(), &child, next, |h| h) {
-            return Ok(());
-        }
-        self.stats.hypotheses_generated += 1;
-        if self
-            .stats
-            .hypotheses_generated
-            .is_multiple_of(BUDGET_SAMPLE_INTERVAL)
-        {
-            self.sampled_budget_check(period, observer)?;
-        }
-        // The exact algorithm needs no weight order; sorted insertion
-        // would cost O(n^2) across a blow-up.
-        next.push(child);
-        if let Some(limit) = self.options.set_limit {
-            if next.len() > limit.get() {
-                self.hypotheses.clear();
-                return Err(LearnError::SetLimitExceeded {
-                    period,
-                    limit: limit.get(),
+            PARALLEL_BRANCH_WORDS
+        };
+        let threads = self.branch_threads(parents.len(), plan.len(), gate);
+        if threads > 1 {
+            // The parents are not needed after generation.
+            let shared = Arc::new((parents, plan));
+            let chunks = pool::scatter_chunks(threads, shared.0.len(), &shared, |shared, range| {
+                let (parents, plan) = shared;
+                let mut children = Rows::new(parents.shape());
+                let mut keys = Vec::new();
+                let Ok(()) = parents.children::<Infallible>(range, plan, |child, fp, w| {
+                    keys.push((fp, w));
+                    children.push(child);
+                    Ok(())
                 });
-            }
-        }
-        Ok(())
-    }
-
-    /// Bounded-mode branching for one message (§3.2).
-    ///
-    /// The *reduce* — dedup, statistics, budget sampling, overflow merges —
-    /// is inherently sequential: each overflow merges the two currently
-    /// lowest-weight hypotheses, so the result depends on the exact
-    /// interleaving of insertions and merges (Theorem 4's convergence
-    /// argument is about precisely this order), and it always runs on this
-    /// thread in generation order. Child *generation*, however, only reads
-    /// the period-start hypothesis snapshot — merged results never spawn
-    /// children within a message — so with enough work it fans out to the
-    /// persistent pool, with each worker eagerly computing the weight its
-    /// child will need for merge ordering anyway. The admitted child
-    /// sequence (and hence every merge, stat and event) is byte-identical
-    /// to the sequential loop's at any thread count.
-    ///
-    /// Structural wins over the pre-arena implementation: children live in
-    /// an arena and the working list is a weight-ordered `VecDeque` of
-    /// `(weight, index)` handles, so overflow extraction is two O(1)
-    /// `pop_front`s (previously two `Vec::remove(0)` memmoves), insertion
-    /// binary-searches cached weights (previously recomputed `weight()`
-    /// per probe), and dedup is fingerprint-first against the arena
-    /// (previously a clone of every child into a `HashSet`).
-    fn branch_bounded<O: Observer + ?Sized>(
-        &mut self,
-        period: usize,
-        observer: &mut O,
-        candidates: &Arc<Vec<(TaskId, TaskId)>>,
-        joins: &Arc<Vec<(DependencyValue, DependencyValue)>>,
-    ) -> Result<Vec<Hypothesis>, LearnError> {
-        let mut state = BoundedBranch::new(
-            self.options.bound.expect("bounded mode").get(),
-            self.options.merge_assumptions == MergeAssumptions::Union,
-        );
-        let threads = self.branch_threads(
-            self.hypotheses.len(),
-            candidates.len(),
-            BOUNDED_BRANCH_WORDS,
-        );
-        if threads > 1 {
-            let children = self.generate_children_parallel(threads, candidates, joins, |child| {
-                // Fingerprint and weight are pure functions of the child;
-                // hoisting them into the workers is the whole point of
-                // parallel bounded generation.
-                (child.fingerprint(), child.weight(), child)
+                (children, keys)
             });
-            for (fingerprint, weight, child) in children {
-                self.admit_bounded_child(
-                    period,
-                    observer,
-                    &mut state,
-                    fingerprint,
-                    Some(weight),
-                    child,
-                )?;
-            }
-        } else {
-            for hi in 0..self.hypotheses.len() {
-                for (ci, &(s, r)) in candidates.iter().enumerate() {
-                    let h = &self.hypotheses[hi];
-                    if h.assumes(s, r) {
-                        continue;
-                    }
-                    let (forward, backward) = joins[ci];
-                    let child = h.assume_message(s, r, forward, backward);
-                    let fingerprint = child.fingerprint();
-                    // Weight deferred until the child survives dedup: the
-                    // sequential path should not pay for duplicates.
-                    self.admit_bounded_child(
-                        period,
-                        observer,
-                        &mut state,
-                        fingerprint,
-                        None,
-                        child,
-                    )?;
+            for (children, keys) in chunks {
+                for (i, (fingerprint, weight)) in keys.into_iter().enumerate() {
+                    let child = children.row(i);
+                    self.admit(period, observer, &mut state, child, fingerprint, weight)?;
                 }
             }
+        } else {
+            parents.children(0..parents.len(), &plan, |child, fingerprint, weight| {
+                self.admit(period, observer, &mut state, child, fingerprint, weight)
+            })?;
         }
-        let BoundedBranch {
-            mut arena, working, ..
-        } = state;
-        Ok(working
-            .iter()
-            .map(|&(_, idx)| arena[idx].take().expect("survivors are live and unique"))
-            .collect())
+        Ok(state.finish())
     }
 
-    /// The bounded-mode per-child reduce step, shared verbatim by the
-    /// sequential loop and the parallel ordered reduce: dedup → count →
-    /// sampled budget check → weight → insert → overflow merge, in exactly
-    /// the order the sequential implementation uses. `weight` is `Some`
-    /// when a worker already computed it (side-effect-free, so eagerness
-    /// cannot change results), `None` to compute it lazily after dedup.
-    fn admit_bounded_child<O: Observer + ?Sized>(
+    /// The per-child reduce step shared by the sequential loop and the
+    /// parallel ordered reduce: dedup → count → sampled budget check →
+    /// admit → set-limit guard (exact) or weight-ordered insert and
+    /// overflow merge (bounded).
+    fn admit<O: Observer + ?Sized>(
         &mut self,
         period: usize,
         observer: &mut O,
-        state: &mut BoundedBranch,
+        state: &mut Branching,
+        child: &[u64],
         fingerprint: u64,
-        weight: Option<u64>,
-        child: Hypothesis,
+        weight: u64,
     ) -> Result<(), LearnError> {
-        if !state.dedup.insert(
-            fingerprint,
-            state.arena.len(),
-            &child,
-            &state.arena,
-            |slot| slot.as_ref().expect("dedup only indexes live children"),
-        ) {
+        let rows = &state.rows;
+        if !state
+            .dedup
+            .insert(fingerprint, rows.len(), |j| rows.row(j) == child)
+        {
             return Ok(());
         }
         self.stats.hypotheses_generated += 1;
@@ -716,30 +510,37 @@ impl Learner {
             .hypotheses_generated
             .is_multiple_of(BUDGET_SAMPLE_INTERVAL)
         {
-            self.sampled_budget_check(period, observer)?;
+            self.check_budget(period, observer)?;
         }
-        let weight = weight.unwrap_or_else(|| child.weight());
-        let idx = state.arena.len();
-        state.arena.push(Some(child));
-        state.insert_working(weight, idx);
-        if state.working.len() > state.bound {
+        let index = state.rows.push(child);
+        let Some(bounded) = &mut state.bounded else {
+            // The exact algorithm needs no weight order; sorted insertion
+            // would cost O(n^2) across a blow-up.
+            if let Some(limit) = self.options.set_limit {
+                if state.rows.len() > limit.get() {
+                    self.hypotheses.clear();
+                    return Err(LearnError::SetLimitExceeded {
+                        period,
+                        limit: limit.get(),
+                    });
+                }
+            }
+            return Ok(());
+        };
+        let shape = state.rows.shape();
+        bounded.insert(weight, index);
+        if bounded.working.len() > bounded.bound {
             // Replace the two lowest-weight hypotheses by their least
             // upper bound (§3.2).
-            let (wa, ia) = state
+            let (wa, a) = bounded
                 .working
                 .pop_front()
                 .expect("overflow implies nonempty");
-            let (wb, ib) = state.working.pop_front().expect("bound >= 1");
-            let merged = {
-                let a = state.arena[ia].as_ref().expect("working entries are live");
-                let b = state.arena[ib].as_ref().expect("working entries are live");
-                a.merge(b, state.union)
-            };
-            observer.merge(period, (wa, wb), merged.weight());
-            let mw = merged.weight();
-            let midx = state.arena.len();
-            state.arena.push(Some(merged));
-            state.insert_working(mw, midx);
+            let (wb, b) = bounded.working.pop_front().expect("bound >= 1");
+            let merged = state.rows.push_merge(a, b, bounded.union);
+            let weight = shape.weight(state.rows.row(merged));
+            observer.merge(period, (wa, wb), weight);
+            bounded.insert(weight, merged);
             self.stats.merges += 1;
         }
         Ok(())
@@ -782,34 +583,23 @@ impl Learner {
         if threads > 1 {
             // Each matches_period call runs an independent backtracking
             // search; fan the reads out, keep the retain order here. The
-            // hypothesis set and one period clone move into `Arc`s so the
-            // jobs are `'static`; the set is restored (a move, not a
-            // copy — see `generate_children_parallel`) before the retain.
-            let hypotheses = Arc::new(std::mem::take(&mut self.hypotheses));
-            let shared_period = Arc::new(period.clone());
-            let jobs: Vec<_> = pool::chunk_ranges(threads, before)
-                .into_iter()
-                .map(|range| {
-                    let hypotheses = Arc::clone(&hypotheses);
-                    let period = Arc::clone(&shared_period);
-                    move || {
-                        range
-                            .map(|i| {
-                                !crate::matching::matches_period(hypotheses[i].function(), &period)
-                            })
-                            .collect::<Vec<bool>>()
-                    }
-                })
-                .collect();
-            let keep: Vec<bool> = WorkerPool::global().scatter(jobs).concat();
-            self.hypotheses =
-                Arc::try_unwrap(hypotheses).unwrap_or_else(|shared| (*shared).clone());
+            // set moves into the shared `Arc` and back out afterwards (a
+            // move, not a copy: `scatter_chunks` drops every job's clone).
+            let shared = Arc::new((std::mem::take(&mut self.hypotheses), period.clone()));
+            let keep = pool::scatter_chunks(threads, before, &shared, |shared, range| {
+                let (hypotheses, period) = shared;
+                range
+                    .map(|i| !crate::matching::matches_period(&hypotheses[i], period))
+                    .collect::<Vec<bool>>()
+            })
+            .concat();
+            self.hypotheses = Arc::try_unwrap(shared).map_or_else(|s| s.0.clone(), |(h, _)| h);
             let mut flags = keep.into_iter();
             self.hypotheses
                 .retain(|_| flags.next().expect("one flag per hypothesis"));
         } else {
             self.hypotheses
-                .retain(|h| !crate::matching::matches_period(h.function(), period));
+                .retain(|h| !crate::matching::matches_period(h, period));
         }
         if self.hypotheses.is_empty() {
             return Err(LearnError::Inconsistent {
@@ -820,38 +610,43 @@ impl Learner {
         Ok(before - self.hypotheses.len())
     }
 
-    /// Unifies equal hypotheses and removes dominated ones: `d` is
-    /// redundant iff some other `d'` satisfies `d' ⊑ d`, `d' ≠ d`.
+    /// Post-processing: strips the assumptions of the period's final
+    /// rows, unifies equal ones and removes dominated ones (`d` is
+    /// redundant iff some other `d'` satisfies `d' ⊑ d`, `d' ≠ d`), and
+    /// makes the survivors the hypothesis set.
     ///
-    /// Dedup is fingerprint-first (full equality only on collision). The
-    /// domination scan runs over a [`FunctionArena`] snapshot of the
-    /// weight-sorted survivors: one contiguous word buffer plus a cached
-    /// weight column, so each probe is a `partition_point` over adjacent
-    /// weights followed by a batched `leq` sweep of adjacent rows —
-    /// `O(Σᵢ prefix(i))` streaming word compares instead of all-pairs
-    /// full-matrix compares over pointer-chased hypotheses. Weight
-    /// sorting makes the prefix sufficient: a strict dominator is
-    /// strictly more specific and weight is strictly monotone on the
-    /// order, so only the strictly-lower-weight prefix can dominate an
-    /// entry. The scan fans out over the persistent pool when the arena
-    /// is large (the `Arc`'d arena is the only shared state, so chunking
-    /// cannot change the flags). Output (membership *and* order —
-    /// weight-sorted, ties in first-seen order) is identical to the old
-    /// all-pairs scan.
-    fn remove_redundant(&mut self) {
-        let mut unique: Vec<Hypothesis> = Vec::with_capacity(self.hypotheses.len());
-        let mut dedup = FingerprintDedup::default();
-        for h in self.hypotheses.drain(..) {
-            let fingerprint = h.fingerprint();
-            if dedup.insert(fingerprint, unique.len(), &h, &unique, |x| x) {
-                unique.push(h);
+    /// Dedup is fingerprint-first over the stripped rows (full equality
+    /// only on a hit), in first-seen order; the unique rows are stably
+    /// sorted by weight straight into a [`FunctionArena`]: one contiguous
+    /// word buffer plus a cached weight column, so each domination probe
+    /// is a `partition_point` over adjacent weights followed by a batched
+    /// `leq` sweep of adjacent rows. Weight sorting makes the prefix
+    /// sufficient: a strict dominator is strictly more specific and weight
+    /// is strictly monotone on the order, so only the strictly-lower-weight
+    /// prefix can dominate an entry. The scan fans out over the persistent
+    /// pool when the arena is large (the `Arc`'d arena is the only shared
+    /// state, so chunking cannot change the flags). Survivors stay
+    /// weight-sorted, ties in first-seen order.
+    fn remove_redundant(&mut self, mut set: Rows) {
+        set.strip_assumptions();
+        set.debug_validate("post-processing", true);
+        let shape = set.shape();
+        let mut dedup = Dedup::default();
+        let mut unique: Vec<(u64, usize)> = Vec::with_capacity(set.len());
+        for i in 0..set.len() {
+            let row = set.row(i);
+            if dedup.insert(shape.fingerprint(row), i, |j| set.row(j) == row) {
+                unique.push((shape.weight(row), i));
             }
         }
-        unique.sort_by_key(Hypothesis::weight);
-        let arena = Arc::new(FunctionArena::from_functions(
-            self.tasks,
-            unique.iter().map(Hypothesis::function),
-        ));
+        drop(dedup);
+        unique.sort_by_key(|&(weight, _)| weight);
+        let mut arena = FunctionArena::with_capacity(self.tasks, unique.len());
+        for &(_, i) in &unique {
+            arena.push_words(set.function(i));
+        }
+        drop(set);
+        let arena = Arc::new(arena);
         fn keeps(arena: &FunctionArena, i: usize) -> bool {
             let prefix = arena.weights().partition_point(|&w| w < arena.weight(i));
             !arena.dominated_in_prefix(i, prefix)
@@ -863,21 +658,16 @@ impl Learner {
                 1
             };
         let keep: Vec<bool> = if threads > 1 {
-            let jobs: Vec<_> = pool::chunk_ranges(threads, unique.len())
-                .into_iter()
-                .map(|range| {
-                    let arena = Arc::clone(&arena);
-                    move || range.map(|i| keeps(&arena, i)).collect::<Vec<bool>>()
-                })
-                .collect();
-            WorkerPool::global().scatter(jobs).concat()
+            pool::scatter_chunks(threads, arena.len(), &arena, |arena, range| {
+                range.map(|i| keeps(arena, i)).collect::<Vec<bool>>()
+            })
+            .concat()
         } else {
-            (0..unique.len()).map(|i| keeps(&arena, i)).collect()
+            (0..arena.len()).map(|i| keeps(&arena, i)).collect()
         };
-        self.hypotheses = unique
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(h, k)| k.then_some(h))
+        self.hypotheses = (0..arena.len())
+            .filter(|&i| keep[i])
+            .map(|i| arena.get(i))
             .collect();
     }
 
@@ -885,11 +675,7 @@ impl Learner {
     #[must_use]
     pub fn into_result(self) -> LearnResult {
         LearnResult {
-            hypotheses: self
-                .hypotheses
-                .into_iter()
-                .map(Hypothesis::into_function)
-                .collect(),
+            hypotheses: self.hypotheses,
             stats: self.stats,
         }
     }
@@ -899,15 +685,10 @@ impl Learner {
 /// unfiltered candidate set used by the timing-filter ablation).
 fn all_executed_pairs(period: &Period) -> Vec<(TaskId, TaskId)> {
     let executed: Vec<TaskId> = period.executed_tasks().iter().collect();
-    let mut pairs = Vec::with_capacity(executed.len() * executed.len());
-    for &s in &executed {
-        for &r in &executed {
-            if s != r {
-                pairs.push((s, r));
-            }
-        }
-    }
-    pairs
+    let pairs = executed
+        .iter()
+        .flat_map(|&s| executed.iter().map(move |&r| (s, r)));
+    pairs.filter(|(s, r)| s != r).collect()
 }
 
 /// The outcome of a completed learner run.
@@ -1367,7 +1148,8 @@ mod tests {
         let trace = blowup_trace();
         let options = LearnOptions::exact()
             .with_budget(crate::Budget::unlimited().with_max_steps(BUDGET_SAMPLE_INTERVAL));
-        let err = learn(&trace, options).unwrap_err();
+        let mut learner = Learner::new(trace.task_count(), options);
+        let err = learner.observe(&trace.periods()[0]).unwrap_err();
         match err {
             LearnError::BudgetExhausted { period, steps } => {
                 assert_eq!(period, 0);
@@ -1375,5 +1157,13 @@ mod tests {
             }
             other => panic!("expected a mid-period budget trip, got {other:?}"),
         }
+        // The documented error state: the hypothesis set of the last
+        // period boundary, while the counters include the partial period.
+        assert_eq!(
+            learner.hypotheses(),
+            vec![&DependencyFunction::bottom(trace.task_count())]
+        );
+        assert_eq!(learner.stats().hypotheses_generated, BUDGET_SAMPLE_INTERVAL);
+        assert_eq!(learner.stats().periods, 0);
     }
 }

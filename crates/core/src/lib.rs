@@ -54,12 +54,12 @@ mod checkpoint;
 mod convergence;
 mod error;
 mod history;
-mod hypothesis;
 mod incremental;
 mod learner;
 mod matching;
 mod options;
 pub mod pool;
+mod rows;
 mod stats;
 mod witness;
 
@@ -73,7 +73,6 @@ pub use checkpoint::{
 };
 pub use convergence::{convergence_timeline, convergence_timeline_with, ConvergencePoint};
 pub use error::LearnError;
-pub use hypothesis::Hypothesis;
 pub use incremental::{
     robust_learn, robust_learn_with, IncrementalLearner, Observed, DEFAULT_FALLBACK_BOUND,
 };

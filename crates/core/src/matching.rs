@@ -172,21 +172,14 @@ pub fn matches_trace_parallel(d: &DependencyFunction, trace: &Trace, threads: us
     if threads <= 1 {
         return matches_trace(d, trace);
     }
-    // Jobs on the persistent pool are `'static`: share the function via
-    // an `Arc`, hand each worker its own copy of a period chunk.
-    let shared = std::sync::Arc::new(d.clone());
-    let jobs: Vec<_> = crate::pool::chunk_ranges(threads, periods.len())
-        .into_iter()
-        .map(|range| {
-            let d = std::sync::Arc::clone(&shared);
-            let chunk: Vec<Period> = periods[range].to_vec();
-            move || chunk.iter().all(|p| matches_period(&d, p))
-        })
-        .collect();
-    crate::pool::WorkerPool::global()
-        .scatter(jobs)
-        .into_iter()
-        .all(|ok| ok)
+    // Jobs on the persistent pool are `'static`: share the function and
+    // a copy of the periods through an `Arc`.
+    let shared = std::sync::Arc::new((d.clone(), periods.to_vec()));
+    crate::pool::scatter_chunks(threads, periods.len(), &shared, |(d, periods), range| {
+        periods[range].iter().all(|p| matches_period(d, p))
+    })
+    .into_iter()
+    .all(|ok| ok)
 }
 
 /// Relaxed [`matches_trace`]; see [`matches_period_relaxed`].

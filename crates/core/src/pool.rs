@@ -291,6 +291,30 @@ pub fn chunk_ranges(threads: usize, len: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// Runs `job(shared, range)` for each of the [`chunk_ranges`] of
+/// `0..len` on the global pool and returns the results in chunk order.
+/// Jobs on a persistent pool are `'static`, so each one holds a clone of
+/// the `Arc`; once this returns, every clone is dropped again.
+pub(crate) fn scatter_chunks<T, R>(
+    threads: usize,
+    len: usize,
+    shared: &Arc<T>,
+    job: fn(&T, Range<usize>) -> R,
+) -> Vec<R>
+where
+    T: Send + Sync + 'static,
+    R: Send + 'static,
+{
+    let jobs: Vec<_> = chunk_ranges(threads, len)
+        .into_iter()
+        .map(|range| {
+            let shared = Arc::clone(shared);
+            move || job(&shared, range)
+        })
+        .collect();
+    WorkerPool::global().scatter(jobs)
+}
+
 /// Resolves `--threads 0` auto-detection: one thread per
 /// [`AUTO_THREAD_WORDS`] packed words of estimated workload, clamped to
 /// the detected core count and never below 1. A 100-word trace on a

@@ -3,10 +3,9 @@
 //!
 //! A [`FunctionArena`] holds every candidate function of a working set in
 //! **one contiguous `u64` buffer** — function `i` occupies the word range
-//! `[i·stride, (i+1)·stride)` — plus parallel columns caching each
-//! function's weight and fingerprint. Whole-set operations (`⊑` sweeps,
-//! domination scans, LUB folds, fingerprint-first membership tests) then
-//! stream over adjacent words instead of chasing one heap allocation per
+//! `[i·stride, (i+1)·stride)` — plus a parallel column caching each
+//! function's weight. Whole-set operations (`⊑` sweeps, domination
+//! scans, LUB folds) then stream over adjacent words instead of chasing one heap allocation per
 //! `DependencyFunction`, so a pass over *n* functions is `n·stride`
 //! sequential word reads — the memory layout the packed word kernels
 //! were built for.
@@ -21,7 +20,7 @@ use crate::packed::{word_join, word_leq, word_weight};
 
 /// A packed structure-of-arrays store of same-universe
 /// [`DependencyFunction`]s: one contiguous word buffer (stride =
-/// words-per-matrix) plus parallel cached-weight and fingerprint columns.
+/// words-per-matrix) plus a parallel cached-weight column.
 ///
 /// # Example
 ///
@@ -45,7 +44,6 @@ pub struct FunctionArena {
     stride: usize,
     words: Vec<u64>,
     weights: Vec<u64>,
-    fingerprints: Vec<u64>,
 }
 
 impl FunctionArena {
@@ -57,7 +55,6 @@ impl FunctionArena {
             stride: DependencyFunction::words_per_function(tasks),
             words: Vec::new(),
             weights: Vec::new(),
-            fingerprints: Vec::new(),
         }
     }
 
@@ -67,7 +64,6 @@ impl FunctionArena {
         let mut arena = Self::new(tasks);
         arena.words.reserve(functions * arena.stride);
         arena.weights.reserve(functions);
-        arena.fingerprints.reserve(functions);
         arena
     }
 
@@ -134,13 +130,6 @@ impl FunctionArena {
         self.weights[i]
     }
 
-    /// The cached fingerprint of function `i`.
-    #[inline]
-    #[must_use]
-    pub fn fingerprint(&self, i: usize) -> u64 {
-        self.fingerprints[i]
-    }
-
     /// The whole cached-weight column, index-aligned with the rows (for
     /// `partition_point` prefix computations over weight-sorted arenas).
     #[must_use]
@@ -148,39 +137,28 @@ impl FunctionArena {
         &self.weights
     }
 
-    /// Appends `d`, returning its index. The weight and fingerprint
-    /// columns are filled from one streaming pass over the row.
+    /// Appends `d`, returning its index, and caches its weight.
     ///
     /// # Panics
     ///
     /// Panics if `d` is over a different task universe.
     pub fn push(&mut self, d: &DependencyFunction) -> usize {
         assert_eq!(d.task_count(), self.tasks, "mismatched task universes");
-        let row = d.packed_words();
-        self.words.extend_from_slice(row);
-        self.weights.push(row.iter().map(|&w| word_weight(w)).sum());
-        self.fingerprints.push(d.fingerprint());
-        self.weights.len() - 1
+        self.push_words(d.packed_words())
     }
 
-    /// Appends `d` unless an equal function is already stored:
-    /// fingerprint-first membership (word-for-word comparison only on a
-    /// fingerprint hit), the arena-native form of the learner's dedup.
-    /// Returns `Ok(index)` for a fresh insertion, `Err(index)` of the
-    /// existing duplicate otherwise.
+    /// Appends one packed store given as raw words (a valid store for
+    /// this universe, e.g. the function half of a learner working-set
+    /// row), returning its index.
     ///
     /// # Panics
     ///
-    /// Panics if `d` is over a different task universe.
-    pub fn push_unique(&mut self, d: &DependencyFunction) -> Result<usize, usize> {
-        assert_eq!(d.task_count(), self.tasks, "mismatched task universes");
-        let fingerprint = d.fingerprint();
-        for (i, &fp) in self.fingerprints.iter().enumerate() {
-            if fp == fingerprint && self.row(i) == d.packed_words() {
-                return Err(i);
-            }
-        }
-        Ok(self.push(d))
+    /// Panics if `row` is not exactly one stride long.
+    pub fn push_words(&mut self, row: &[u64]) -> usize {
+        assert_eq!(row.len(), self.stride, "mismatched task universes");
+        self.words.extend_from_slice(row);
+        self.weights.push(row.iter().map(|&w| word_weight(w)).sum());
+        self.weights.len() - 1
     }
 
     /// Reconstructs function `i` as an owned [`DependencyFunction`].
@@ -301,8 +279,15 @@ mod tests {
         for (i, d) in functions.iter().enumerate() {
             assert_eq!(&arena.get(i), d);
             assert_eq!(arena.weight(i), d.weight());
-            assert_eq!(arena.fingerprint(i), d.fingerprint());
         }
+    }
+
+    #[test]
+    fn push_words_matches_push() {
+        let d = scrambled(6, 3);
+        let mut arena = FunctionArena::new(6);
+        arena.push_words(d.packed_words());
+        assert_eq!(arena, FunctionArena::from_functions(6, [&d]));
     }
 
     #[test]
@@ -313,17 +298,6 @@ mod tests {
         assert_eq!(arena.leq(0, 1), a.leq(&b));
         assert_eq!(arena.leq(1, 0), b.leq(&a));
         assert!(arena.leq(0, 0) && arena.leq(1, 1));
-    }
-
-    #[test]
-    fn push_unique_dedups_fingerprint_first() {
-        let mut arena = FunctionArena::new(4);
-        let a = scrambled(4, 9);
-        assert_eq!(arena.push_unique(&a), Ok(0));
-        assert_eq!(arena.push_unique(&a.clone()), Err(0));
-        let b = scrambled(4, 10);
-        assert_eq!(arena.push_unique(&b), Ok(1));
-        assert_eq!(arena.len(), 2);
     }
 
     #[test]

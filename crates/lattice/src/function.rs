@@ -4,8 +4,8 @@
 use std::fmt;
 
 use crate::packed::{
-    decode, encode, word_join, word_lattice_distance, word_leq, word_meet, word_weight,
-    BITS_PER_CELL, CELLS_PER_WORD, CELL_MASK,
+    cell_slot, decode, encode, word_join, word_lattice_distance, word_leq, word_meet, word_weight,
+    CELLS_PER_WORD, CELL_MASK,
 };
 use crate::task::{TaskId, TaskUniverse};
 use crate::value::{DependencyValue, ValueParseError};
@@ -143,14 +143,15 @@ impl DependencyFunction {
     /// The value of flat cell `idx` (row-major).
     #[inline]
     fn cell(&self, idx: usize) -> DependencyValue {
-        decode(self.words[idx / CELLS_PER_WORD] >> (BITS_PER_CELL * (idx % CELLS_PER_WORD)))
+        let (word, shift) = cell_slot(idx);
+        decode(self.words[word] >> shift)
     }
 
     /// Overwrites flat cell `idx` (row-major) with `v`.
     #[inline]
     fn set_cell(&mut self, idx: usize, v: DependencyValue) {
-        let shift = BITS_PER_CELL * (idx % CELLS_PER_WORD);
-        let word = &mut self.words[idx / CELLS_PER_WORD];
+        let (word, shift) = cell_slot(idx);
+        let word = &mut self.words[word];
         *word = (*word & !(CELL_MASK << shift)) | (encode(v) << shift);
     }
 
@@ -513,6 +514,7 @@ impl ExactSizeIterator for PairIter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::BITS_PER_CELL;
     use crate::value::DependencyValue as V;
 
     fn t(i: usize) -> TaskId {

@@ -21,11 +21,6 @@
 use crate::function::{DependencyFunction, FunctionDecodeError};
 use crate::packed::{BITS_PER_CELL, CELLS_PER_WORD, FORWARD_PLANE};
 
-/// Words needed for an `n × n` matrix at 21 cells per word.
-fn words_for(tasks: usize) -> usize {
-    (tasks * tasks).div_ceil(CELLS_PER_WORD)
-}
-
 /// Mask covering the low `lanes` 3-bit cells of a word (everything else,
 /// including bit 63, is padding).
 fn lane_mask(lanes: usize) -> u64 {
@@ -51,7 +46,7 @@ fn lane_mask(lanes: usize) -> u64 {
 ///
 /// Returns a [`FunctionDecodeError`] naming the first violated invariant.
 pub fn check_packed_store(tasks: usize, words: &[u64]) -> Result<(), FunctionDecodeError> {
-    let expected = words_for(tasks);
+    let expected = DependencyFunction::words_per_function(tasks);
     if words.len() != expected {
         return Err(FunctionDecodeError::WordCount {
             tasks,
@@ -111,6 +106,18 @@ pub fn check_packed_store(tasks: usize, words: &[u64]) -> Result<(), FunctionDec
 /// Returns a [`FunctionDecodeError`] naming the first violated invariant.
 pub fn check_function(d: &DependencyFunction) -> Result<(), FunctionDecodeError> {
     check_packed_store(d.task_count(), d.packed_words())
+}
+
+/// The first misplaced bit of a per-period assumption bitset over a
+/// `tasks`-task universe (bit `s·tasks + r` records an assumed message
+/// `s → r`): a bit on the diagonal (no task messages itself) or at or
+/// past `tasks²`. `None` if every set bit names an ordered pair of
+/// distinct tasks.
+#[must_use]
+pub fn stray_assumption_bit(tasks: usize, words: &[u64]) -> Option<usize> {
+    let set = |bit: usize| words[bit / 64] >> (bit % 64) & 1 != 0;
+    let stray = |bit: usize| bit >= tasks * tasks || bit.is_multiple_of(tasks + 1);
+    (0..words.len() * 64).find(|&bit| set(bit) && stray(bit))
 }
 
 /// How a hypothesis set fails to be an antichain, reported by
@@ -187,6 +194,20 @@ mod tests {
 
     fn t(i: usize) -> TaskId {
         TaskId::from_index(i)
+    }
+
+    #[test]
+    fn assumption_bits_must_name_distinct_pairs() {
+        // 3 tasks: cells 1, 2, 3, 5, 6, 7 are off-diagonal.
+        assert_eq!(stray_assumption_bit(3, &[0b1110_1110]), None);
+        assert_eq!(stray_assumption_bit(3, &[0b1_0000]), Some(4), "diagonal");
+        assert_eq!(stray_assumption_bit(3, &[1 << 9]), Some(9), "past t²");
+        assert_eq!(stray_assumption_bit(9, &[0, 1 << 1]), None);
+        assert_eq!(
+            stray_assumption_bit(9, &[0, 1 << 6]),
+            Some(70),
+            "second word"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * [`TaskId`] / [`TaskUniverse`] — a compact interner for task names, so
 //!   dependency functions are dense matrices indexed by small integers.
 //! * [`FunctionArena`] — a structure-of-arrays store packing whole *sets*
-//!   of dependency functions into one contiguous word buffer (plus cached
-//!   weight/fingerprint columns), so set-level sweeps run as batched
+//!   of dependency functions into one contiguous word buffer (plus a
+//!   cached weight column), so set-level sweeps run as batched
 //!   kernels over adjacent words.
 //!
 //! # Example

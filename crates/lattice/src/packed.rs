@@ -26,7 +26,9 @@
 //!   `F` and `B` both cleared (the one invalid code `100` normalizes to
 //!   `‖`, which is the correct meet),
 //! * `distance(v) = (F + B + Q)²` (0/1/4/9 per paper Definition 7), so a
-//!   word's total weight is six popcounts.
+//!   word's total weight is two popcounts (see [`word_weight`]),
+//! * execution-consistency weakening is one masked shift-OR per word
+//!   ([`word_weaken`]).
 //!
 //! Every kernel is validated against the scalar [`DependencyValue`] table
 //! code by the unit tests below (exhaustive over all 7×7 cell pairs) and
@@ -98,6 +100,14 @@ pub fn decode(code: u64) -> DependencyValue {
     DECODE[(code & CELL_MASK) as usize]
 }
 
+/// The word index and bit shift of flat (row-major) cell `idx` in a
+/// packed store.
+#[inline]
+#[must_use]
+pub fn cell_slot(idx: usize) -> (usize, usize) {
+    (idx / CELLS_PER_WORD, BITS_PER_CELL * (idx % CELLS_PER_WORD))
+}
+
 /// Whether every cell of `a` is `⊑` the corresponding cell of `b`.
 ///
 /// Bit-inclusion per lane is exactly the lattice order (see the module
@@ -132,17 +142,31 @@ pub fn word_meet(a: u64, b: u64) -> u64 {
 /// Sum of per-cell distances (paper Definition 7) over one word.
 ///
 /// With `s = F + B + Q` bits set in a cell, the distance is `s²`
-/// (`‖`→0, `→`/`←`→1, `↔`/`→?`/`←?`→4, `↔?`→9), and
-/// `s² = s + 2(FB + FQ + BQ)`, so the word total is six popcounts.
+/// (`‖`→0, `→`/`←`→1, `↔`/`→?`/`←?`→4, `↔?`→9). Writing `s = x + 2y`
+/// with `x = F ⊕ B ⊕ Q` (`s` odd) and `y` the majority of the three
+/// (`s ≥ 2`) gives `s² = x + 4(y + xy)`. `y` and `xy` fit in two
+/// different bit planes of one word, so the word total is two popcounts.
 #[inline]
 #[must_use]
 pub fn word_weight(w: u64) -> u64 {
     let f = w & FORWARD_PLANE;
     let b = (w >> 1) & FORWARD_PLANE;
     let q = (w >> 2) & FORWARD_PLANE;
-    let singles = f.count_ones() + b.count_ones() + q.count_ones();
-    let pairs = (f & b).count_ones() + (f & q).count_ones() + (b & q).count_ones();
-    u64::from(singles) + 2 * u64::from(pairs)
+    let odd = f ^ b ^ q;
+    let high = (f & b) | (f & q) | (b & q);
+    u64::from(odd.count_ones()) + 4 * u64::from((high | ((odd & high) << 1)).count_ones())
+}
+
+/// Execution-consistency weakening of one word: every cell selected by
+/// `mask_q` (its `Q` bit set in the mask) that holds an unconditional
+/// claim gains its `Q` bit — `→` becomes `→?`, `←` becomes `←?`, `↔`
+/// becomes `↔?` — and every other cell is unchanged (`‖` stays `‖`, the
+/// `?` values already carry `Q`). The learner sets the mask's `Q` bits at
+/// the cells `(executed, not executed)` of a period.
+#[inline]
+#[must_use]
+pub fn word_weaken(w: u64, mask_q: u64) -> u64 {
+    w | ((((w & FORWARD_PLANE) << 2) | ((w & BACKWARD_PLANE) << 1)) & mask_q)
 }
 
 /// `Σ distance(a ⊔ b) − distance(a ⊓ b)` over one word's cells — the
@@ -226,6 +250,45 @@ mod tests {
             word_lattice_distance(wa, wb),
             word_weight(word_join(wa, wb)) - word_weight(word_meet(wa, wb))
         );
+    }
+
+    #[test]
+    fn weakening_kernel_matches_the_scalar_mapping() {
+        use DependencyValue as V;
+        // The scalar weakening rule: an unconditional claim of an
+        // executed task about an absent one becomes conditional, every
+        // other value is untouched.
+        let weakened = |v: V| match v {
+            V::Determines => V::MayDetermine,
+            V::DependsOn => V::MayDependOn,
+            V::Mutual => V::MayMutual,
+            other => other,
+        };
+        for v in ALL_VALUES {
+            for (masked, expect) in [(true, weakened(v)), (false, v)] {
+                // The cell sits in lane 5; its neighbours hold every value
+                // unmasked and must not move.
+                let lane = 5;
+                let shift = BITS_PER_CELL * lane;
+                let mut w = 0;
+                for (other, u) in ALL_VALUES.iter().enumerate() {
+                    w |= encode(*u) << (BITS_PER_CELL * (other + 7));
+                }
+                w |= encode(v) << shift;
+                let mask = if masked { 0b100 << shift } else { 0 };
+                let out = word_weaken(w, mask);
+                assert_eq!(decode(out >> shift), expect, "{v} masked={masked}");
+                assert_eq!(out & !(CELL_MASK << shift), w & !(CELL_MASK << shift));
+            }
+        }
+    }
+
+    #[test]
+    fn cell_slot_addresses_lanes() {
+        assert_eq!(cell_slot(0), (0, 0));
+        assert_eq!(cell_slot(20), (0, 60));
+        assert_eq!(cell_slot(21), (1, 0));
+        assert_eq!(cell_slot(45), (2, 9));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! against the per-hypothesis packed kernels.
 //!
 //! The arena packs whole sets of dependency functions into one contiguous
-//! word buffer with cached weight/fingerprint columns, and answers
-//! set-level queries (`leq`, `dominated_in_prefix`, `join_all`,
-//! `push_unique`) as batched sweeps over adjacent words. Each batched
+//! word buffer with a cached weight column, and answers set-level
+//! queries (`leq`, `dominated_in_prefix`, `join_all`, `total_weight`) as
+//! batched sweeps over adjacent words. Each batched
 //! kernel must agree exactly with the per-function packed operations on
 //! individually held [`DependencyFunction`]s — over random sets sized to
 //! straddle word boundaries (n = 3 → 9 cells, n = 5 → 25, n = 9 → 81)
@@ -45,7 +45,7 @@ fn function_sets() -> impl Strategy<Value = Vec<DependencyFunction>> {
 
 proptest! {
     #[test]
-    fn arena_round_trips_functions_weights_and_fingerprints(
+    fn arena_round_trips_functions_and_weights(
         set in function_sets()
     ) {
         let arena = FunctionArena::from_functions(set[0].task_count(), set.iter());
@@ -55,7 +55,6 @@ proptest! {
             prop_assert_eq!(&arena.get(i), d, "row {} round trip", i);
             prop_assert_eq!(arena.row(i), d.packed_words(), "row {} words", i);
             prop_assert_eq!(arena.weight(i), d.weight(), "row {} cached weight", i);
-            prop_assert_eq!(arena.fingerprint(i), d.fingerprint(), "row {} fingerprint", i);
         }
         prop_assert_eq!(
             arena.total_weight(),
@@ -109,35 +108,5 @@ proptest! {
         let first = iter.next().expect("sets are nonempty").clone();
         let scalar = iter.fold(first, |acc, d| acc.join(d));
         prop_assert_eq!(arena.join_all(), Some(scalar));
-    }
-
-    #[test]
-    fn push_unique_matches_linear_scan_dedup(
-        set in function_sets()
-    ) {
-        let tasks = set[0].task_count();
-        let mut arena = FunctionArena::new(tasks);
-        let mut reference: Vec<DependencyFunction> = Vec::new();
-        for d in &set {
-            let scalar = reference.iter().position(|seen| seen == d);
-            match (arena.push_unique(d), scalar) {
-                (Ok(idx), None) => {
-                    prop_assert_eq!(idx, reference.len(), "fresh row lands at the end");
-                    reference.push(d.clone());
-                }
-                (Err(existing), Some(at)) => {
-                    prop_assert_eq!(existing, at, "duplicate maps to first occurrence");
-                }
-                (got, want) => {
-                    prop_assert!(
-                        false,
-                        "push_unique disagreed with linear scan: {:?} vs {:?}",
-                        got,
-                        want
-                    );
-                }
-            }
-        }
-        prop_assert_eq!(arena.len(), reference.len());
     }
 }

@@ -325,3 +325,75 @@ fn parallel_matching_agrees_with_sequential() {
         );
     }
 }
+
+/// The identity a golden pin records: the antichain fingerprint plus the
+/// work counters of one learn.
+fn pin_of(trace: &Trace, options: LearnOptions) -> (u64, usize, usize, usize, Vec<usize>) {
+    let result = learn(trace, options).expect("pinned workloads learn");
+    let stats = result.stats();
+    (
+        bbmg::core::antichain_fingerprint(result.hypotheses()),
+        stats.hypotheses_generated,
+        stats.merges,
+        stats.peak_set_size,
+        stats.set_sizes_per_period.clone(),
+    )
+}
+
+/// Per-period set sizes of a GM learn: `head`, then converged (one
+/// hypothesis) for the rest of the 27 periods.
+fn gm_sizes(head: &[usize]) -> Vec<usize> {
+    let mut sizes = head.to_vec();
+    sizes.resize(27, 1);
+    sizes
+}
+
+#[test]
+fn gm_bound_sweep_matches_golden_pins() {
+    // Golden values: any change to admission, dedup or merge order
+    // moves these numbers. Every bound converges to the same model
+    // (Theorem 4).
+    const GM_MODEL: u64 = 17_045_702_320_792_801_147;
+    let trace = gm::gm_trace(2007).expect("simulation succeeds").trace;
+    let pins = [
+        (1usize, 11_520usize, 11_179usize, 1usize, gm_sizes(&[])),
+        (16, 87_542, 82_169, 16, gm_sizes(&[2, 2])),
+        (100, 406_204, 374_394, 100, gm_sizes(&[19, 2])),
+    ];
+    for (bound, generated, merges, peak, sizes) in pins {
+        assert_eq!(
+            pin_of(&trace, LearnOptions::bounded(bound)),
+            (GM_MODEL, generated, merges, peak, sizes),
+            "bound {bound}"
+        );
+    }
+}
+
+#[test]
+fn exact_blowups_match_golden_pins() {
+    force_real_workers();
+    let pins = [
+        (
+            blowup_trace(),
+            8_637_582_238_857_659_655u64,
+            2_080usize,
+            2_016usize,
+        ),
+        (
+            wide_blowup_trace(),
+            15_846_931_744_972_794_147,
+            5_050,
+            4_950,
+        ),
+    ];
+    for (trace, model, generated, size) in pins {
+        for threads in [1usize, 2] {
+            assert_eq!(
+                pin_of(&trace, LearnOptions::exact().with_parallelism(threads)),
+                (model, generated, 0, size, vec![size]),
+                "{} tasks at {threads} threads",
+                trace.task_count()
+            );
+        }
+    }
+}
