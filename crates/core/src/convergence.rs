@@ -109,7 +109,7 @@ pub fn convergence_timeline_with<O: Observer + ?Sized>(
     let len = snapshots.len();
     let shared = Arc::new((snapshots, final_lub));
     let timeline = if threads > 1 {
-        crate::pool::scatter_chunks(threads, len, &shared, points).concat()
+        crate::pool::scatter_chunks(threads, 0..len, &shared, points).concat()
     } else {
         points(&shared, 0..len)
     };

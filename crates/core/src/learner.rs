@@ -51,6 +51,17 @@ pub const PARALLEL_SCAN_WORDS: usize = 32 * 1024;
 /// 1000 candidate pairs per packed word before even this gate opens.
 pub const BOUNDED_BRANCH_WORDS: usize = 64 * 1024;
 
+/// The size of one generation *wave*, in the gates' unit (`parents ×
+/// candidates × packed words per matrix`). A parallel message generates
+/// its children one wave of contiguous parents at a time, reduces the
+/// wave and frees its buffers before the next, so its raw children in
+/// memory are bounded by one wave (at most `BRANCH_WAVE_WORDS / words`
+/// children) instead of one message. Twice [`PARALLEL_BRANCH_WORDS`],
+/// so every wave but a message's last would cross either fan-out gate
+/// on its own. Wave boundaries cannot change results: the reduce sees
+/// the same child sequence.
+pub const BRANCH_WAVE_WORDS: usize = 2 * PARALLEL_BRANCH_WORDS;
+
 /// Minimum hypothesis count before negative-example matching fans out
 /// (each `matches_period` call does backtracking, so items are coarse).
 const PARALLEL_MATCH_THRESHOLD: usize = 8;
@@ -417,11 +428,13 @@ impl Learner {
     /// argument is about it). Child *generation* only reads `parents` —
     /// merged rows never spawn children within a message — so with
     /// `parallelism > 1` and enough work it fans out to the persistent
-    /// pool: each worker fills its own row buffer and `(fingerprint,
-    /// weight)` column for a contiguous chunk of parents, and the reduce
-    /// consumes the chunks in order. The admitted sequence, and with it
-    /// every merge, stat and event, is byte-identical to the sequential
-    /// loop's at any thread count.
+    /// pool in waves of contiguous parents ([`BRANCH_WAVE_WORDS`]): each
+    /// worker fills its own row buffer and `(fingerprint, weight)` column
+    /// for a contiguous chunk of the wave, the reduce consumes the chunks
+    /// in order and drops them before the next wave is generated. The
+    /// admitted sequence, and with it every merge, stat and event, is
+    /// byte-identical to the sequential loop's at any thread count, and a
+    /// budget or set-limit trip stops generation at the next wave.
     ///
     /// Structure: children, and in bounded mode the merged rows after
     /// them, are appended to one flat row buffer and never move, so a
@@ -457,23 +470,29 @@ impl Learner {
         };
         let threads = self.branch_threads(parents.len(), plan.len(), gate);
         if threads > 1 {
-            // The parents are not needed after generation.
+            let per_parent = plan.len() * DependencyFunction::words_per_function(self.tasks);
+            let wave = (BRANCH_WAVE_WORDS / per_parent).max(threads);
+            let len = parents.len();
             let shared = Arc::new((parents, plan));
-            let chunks = pool::scatter_chunks(threads, shared.0.len(), &shared, |shared, range| {
-                let (parents, plan) = shared;
-                let mut children = Rows::new(parents.shape());
-                let mut keys = Vec::new();
-                let Ok(()) = parents.children::<Infallible>(range, plan, |child, fp, w| {
-                    keys.push((fp, w));
-                    children.push(child);
-                    Ok(())
+            for start in (0..len).step_by(wave) {
+                let items = start..len.min(start + wave);
+                let chunks = pool::scatter_chunks(threads, items, &shared, |shared, range| {
+                    let (parents, plan) = shared;
+                    let mut children = Rows::new(parents.shape());
+                    let mut keys = Vec::new();
+                    let Ok(()) = parents.children::<Infallible>(range, plan, |child, fp, w| {
+                        keys.push((fp, w));
+                        children.push(child);
+                        Ok(())
+                    });
+                    children.debug_validate("wave", false);
+                    (children, keys)
                 });
-                (children, keys)
-            });
-            for (children, keys) in chunks {
-                for (i, (fingerprint, weight)) in keys.into_iter().enumerate() {
-                    let child = children.row(i);
-                    self.admit(period, observer, &mut state, child, fingerprint, weight)?;
+                for (children, keys) in chunks {
+                    for (i, (fingerprint, weight)) in keys.into_iter().enumerate() {
+                        let child = children.row(i);
+                        self.admit(period, observer, &mut state, child, fingerprint, weight)?;
+                    }
                 }
             }
         } else {
@@ -586,7 +605,7 @@ impl Learner {
             // set moves into the shared `Arc` and back out afterwards (a
             // move, not a copy: `scatter_chunks` drops every job's clone).
             let shared = Arc::new((std::mem::take(&mut self.hypotheses), period.clone()));
-            let keep = pool::scatter_chunks(threads, before, &shared, |shared, range| {
+            let keep = pool::scatter_chunks(threads, 0..before, &shared, |shared, range| {
                 let (hypotheses, period) = shared;
                 range
                     .map(|i| !crate::matching::matches_period(&hypotheses[i], period))
@@ -658,7 +677,7 @@ impl Learner {
                 1
             };
         let keep: Vec<bool> = if threads > 1 {
-            pool::scatter_chunks(threads, arena.len(), &arena, |arena, range| {
+            pool::scatter_chunks(threads, 0..arena.len(), &arena, |arena, range| {
                 range.map(|i| keeps(arena, i)).collect::<Vec<bool>>()
             })
             .concat()

@@ -77,8 +77,8 @@ pub use incremental::{
     robust_learn, robust_learn_with, IncrementalLearner, Observed, DEFAULT_FALLBACK_BOUND,
 };
 pub use learner::{
-    learn, learn_with, LearnResult, Learner, BOUNDED_BRANCH_WORDS, BUDGET_SAMPLE_INTERVAL,
-    PARALLEL_BRANCH_WORDS, PARALLEL_SCAN_WORDS,
+    learn, learn_with, LearnResult, Learner, BOUNDED_BRANCH_WORDS, BRANCH_WAVE_WORDS,
+    BUDGET_SAMPLE_INTERVAL, PARALLEL_BRANCH_WORDS, PARALLEL_SCAN_WORDS,
 };
 pub use matching::{
     execution_consistent, matches_period, matches_period_relaxed, matches_period_with,

@@ -175,7 +175,7 @@ pub fn matches_trace_parallel(d: &DependencyFunction, trace: &Trace, threads: us
     // Jobs on the persistent pool are `'static`: share the function and
     // a copy of the periods through an `Arc`.
     let shared = std::sync::Arc::new((d.clone(), periods.to_vec()));
-    crate::pool::scatter_chunks(threads, periods.len(), &shared, |(d, periods), range| {
+    crate::pool::scatter_chunks(threads, 0..periods.len(), &shared, |(d, periods), range| {
         periods[range].iter().all(|p| matches_period(d, p))
     })
     .into_iter()

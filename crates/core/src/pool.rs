@@ -20,9 +20,9 @@
 //!   degrades to an ordered sequential loop, never a deadlock. Worker
 //!   panics are caught, forwarded, and re-raised on the caller — lowest
 //!   job index first, matching the sequential order of occurrence.
-//! * [`chunk_ranges`] — the deterministic partition of `0..len` into at
-//!   most `threads` contiguous chunks (sizes a pure function of
-//!   `(len, threads)`, never of timing). Because callers reduce chunk
+//! * [`chunk_ranges`] — the deterministic partition of a range of items
+//!   into at most `threads` contiguous chunks (sizes a pure function of
+//!   `(items, threads)`, never of timing). Because callers reduce chunk
 //!   results in chunk order and workers only *generate*, concatenating
 //!   the ordered results equals a sequential left-to-right run at every
 //!   thread count — the determinism contract `tests/determinism.rs`
@@ -272,17 +272,18 @@ pub fn warm_up(threads: usize) {
     }
 }
 
-/// Splits `0..len` into at most `threads` contiguous chunks, sizes
+/// Splits `items` into at most `threads` contiguous chunks, sizes
 /// differing by at most one item (earlier chunks get the extra). The
-/// partition is a pure function of `(len, threads)` — never of timing —
+/// partition is a pure function of `(items, threads)` — never of timing —
 /// so it is safe to key parallel work distribution on it.
 #[must_use]
-pub fn chunk_ranges(threads: usize, len: usize) -> Vec<Range<usize>> {
+pub fn chunk_ranges(threads: usize, items: Range<usize>) -> Vec<Range<usize>> {
+    let len = items.len();
     let threads = threads.max(1).min(len.max(1));
     let base = len / threads;
     let extra = len % threads;
     (0..threads)
-        .scan(0usize, |start, i| {
+        .scan(items.start, |start, i| {
             let size = base + usize::from(i < extra);
             let range = *start..*start + size;
             *start += size;
@@ -292,12 +293,12 @@ pub fn chunk_ranges(threads: usize, len: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs `job(shared, range)` for each of the [`chunk_ranges`] of
-/// `0..len` on the global pool and returns the results in chunk order.
+/// `items` on the global pool and returns the results in chunk order.
 /// Jobs on a persistent pool are `'static`, so each one holds a clone of
 /// the `Arc`; once this returns, every clone is dropped again.
 pub(crate) fn scatter_chunks<T, R>(
     threads: usize,
-    len: usize,
+    items: Range<usize>,
     shared: &Arc<T>,
     job: fn(&T, Range<usize>) -> R,
 ) -> Vec<R>
@@ -305,7 +306,7 @@ where
     T: Send + Sync + 'static,
     R: Send + 'static,
 {
-    let jobs: Vec<_> = chunk_ranges(threads, len)
+    let jobs: Vec<_> = chunk_ranges(threads, items)
         .into_iter()
         .map(|range| {
             let shared = Arc::clone(shared);
@@ -332,18 +333,28 @@ mod tests {
     #[test]
     fn chunk_ranges_cover_in_order_and_balanced() {
         for threads in 1..6 {
-            for len in 0..20 {
-                let ranges = chunk_ranges(threads, len);
-                let flat: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
-                assert_eq!(flat, (0..len).collect::<Vec<_>>(), "{threads}t/{len}n");
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "unbalanced: {sizes:?}");
+            for start in [0, 7] {
+                for len in 0..20 {
+                    let items = start..start + len;
+                    let ranges = chunk_ranges(threads, items.clone());
+                    let flat: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
+                    assert_eq!(flat, items.collect::<Vec<_>>(), "{threads}t/{start}+{len}n");
+                    let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+                    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                    assert!(max - min <= 1, "unbalanced: {sizes:?}");
+                    // An offset range is the same partition, shifted.
+                    let shifted: Vec<Range<usize>> = chunk_ranges(threads, 0..len)
+                        .into_iter()
+                        .map(|r| r.start + start..r.end + start)
+                        .collect();
+                    assert_eq!(ranges, shifted, "{threads}t/{start}+{len}n");
+                }
             }
         }
-        assert_eq!(chunk_ranges(3, 10).len(), 3);
-        assert_eq!(chunk_ranges(8, 3).len(), 3);
-        assert_eq!(chunk_ranges(4, 0).len(), 1);
+        assert_eq!(chunk_ranges(3, 0..10).len(), 3);
+        assert_eq!(chunk_ranges(8, 0..3).len(), 3);
+        assert_eq!(chunk_ranges(4, 0..0).len(), 1);
+        assert_eq!(chunk_ranges(4, 5..5), vec![5..5]);
     }
 
     #[test]

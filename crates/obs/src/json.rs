@@ -282,13 +282,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next `"` or
+                    // `\` in one go. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..run])
                         .map_err(|_| self.error("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.error("eof"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos = run;
                 }
             }
         }
@@ -322,6 +326,30 @@ mod tests {
         let text = "a \"b\"\n\\c\tŌu\u{1}";
         let parsed = parse(&escape(text)).unwrap();
         assert_eq!(parsed, Json::String(text.to_owned()));
+    }
+
+    #[test]
+    fn multibyte_text_and_every_escape_round_trip() {
+        let text = "ä€𝄞 \"q\" \\ / \n\r\t\u{8}\u{c}\u{1}\u{1f} 日本語 end";
+        assert_eq!(parse(&escape(text)).unwrap(), Json::String(text.to_owned()));
+        let doc = r#""\"\\\/\n\r\t\b\f\u00e9\u20ac x""#;
+        assert_eq!(
+            parse(doc).unwrap(),
+            Json::String("\"\\/\n\r\t\u{8}\u{c}é€ x".to_owned())
+        );
+        assert!(parse("\"abc").is_err(), "unterminated string");
+        assert!(parse("\"ab\\q\"").is_err(), "unknown escape");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A 1 MiB string: re-validating the rest of the document per
+        // character would take minutes.
+        let long = "é".repeat(1 << 19);
+        let doc = format!("{{\"k\": \"{long}\", \"n\": 1}}");
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(long.as_str()));
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl ShardHealth {
     }
 
     fn refresh(&mut self, shard: &StreamShard) {
-        self.state = shard.state().to_string();
+        self.state.clear();
+        self.state.push_str(shard.state().as_str());
         self.periods = shard.periods() as u64;
         self.events = shard.events_ingested();
         self.pending_events = shard.pending_events() as u64;
@@ -349,16 +350,19 @@ impl HealthRegistry {
 
     /// Creates or refreshes the entry for `shard` from its current gauges.
     pub fn observe(&mut self, shard: &StreamShard) {
-        let entry = self
-            .entries
-            .entry(shard.source().to_string())
-            .or_insert_with(|| ShardHealth {
-                source: shard.source().to_string(),
-                open: true,
-                ..ShardHealth::default()
-            });
-        entry.open = true;
+        let source = shard.source();
+        if let Some(entry) = self.entries.get_mut(source) {
+            entry.open = true;
+            entry.refresh(shard);
+            return;
+        }
+        let mut entry = ShardHealth {
+            source: source.to_string(),
+            open: true,
+            ..ShardHealth::default()
+        };
         entry.refresh(shard);
+        self.entries.insert(source.to_string(), entry);
     }
 
     /// Freezes the entry for a shard that just closed, from its summary.

@@ -164,6 +164,28 @@ impl Roster {
         }
     }
 
+    /// Records `source`'s current account — checkpoint file
+    /// `{source}.ckpt`, `restarts`, `periods` and `state` — like
+    /// [`record`](Self::record). An unchanged account is compared in
+    /// place and allocates nothing, so a supervisor can note every
+    /// ingested line.
+    pub(crate) fn note(&mut self, source: &str, restarts: u64, periods: u64, state: &str) -> bool {
+        let current = self.entries.get(source).is_some_and(|e| {
+            e.restarts == restarts
+                && e.periods == periods
+                && e.state == state
+                && e.checkpoint.strip_suffix(".ckpt") == Some(source)
+        });
+        !current
+            && self.record(RosterEntry {
+                source: source.to_string(),
+                checkpoint: format!("{source}.ckpt"),
+                restarts,
+                periods,
+                state: state.to_string(),
+            })
+    }
+
     /// Serializes to the `bbmg-roster/1` document (one line, no trailing
     /// newline).
     #[must_use]
@@ -360,6 +382,28 @@ mod tests {
         let mut bumped = roster.entry("bus0").unwrap().clone();
         bumped.restarts += 1;
         assert!(roster.record(bumped));
+    }
+
+    #[test]
+    fn note_reports_change_like_record() {
+        let mut roster = sample();
+        let before = roster.to_json();
+        assert!(!roster.note("bus0", 1, 40, "exact"), "same account");
+        assert_eq!(roster.to_json(), before);
+        assert!(roster.note("bus0", 1, 41, "exact"));
+        assert!(roster.note("bus2", 0, 0, "shedding"), "new source");
+        let mut expected = sample();
+        for entry in [("bus0", 1, 41, "exact"), ("bus2", 0, 0, "shedding")] {
+            expected.record(RosterEntry {
+                source: entry.0.into(),
+                checkpoint: format!("{}.ckpt", entry.0),
+                restarts: entry.1,
+                periods: entry.2,
+                state: entry.3.into(),
+            });
+        }
+        assert_eq!(roster, expected);
+        assert!(!roster.note("bus2", 0, 0, "shedding"));
     }
 
     #[test]

@@ -51,15 +51,23 @@ pub enum ShardState {
     Stopped,
 }
 
-impl fmt::Display for ShardState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl ShardState {
+    /// The state word reported in health snapshots and the roster.
+    #[must_use]
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
             ShardState::Exact => "exact",
             ShardState::Degraded => "degraded",
             ShardState::Shedding => "shedding",
             ShardState::Backoff => "backoff",
             ShardState::Stopped => "stopped",
-        })
+        }
+    }
+}
+
+impl fmt::Display for ShardState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

@@ -10,7 +10,7 @@ use bbmg_obs::Observer;
 
 use crate::health::{HealthRegistry, HealthSnapshot};
 use crate::protocol::{parse_line, Line};
-use crate::roster::{Roster, RosterEntry};
+use crate::roster::Roster;
 use crate::shard::{ShardSummary, StreamShard};
 use crate::{ServeError, ServeOptions};
 
@@ -115,20 +115,18 @@ impl Supervisor {
             return Ok(());
         };
         self.registry.observe(shard);
-        if let Some(dir) = self.options.checkpoint_dir.clone() {
+        if let Some(dir) = &self.options.checkpoint_dir {
             let periods_at_checkpoint = shard
                 .periods()
                 .saturating_sub(shard.checkpoint_age_periods())
                 as u64;
-            let changed = self.roster.record(RosterEntry {
-                source: source.to_string(),
-                checkpoint: format!("{source}.ckpt"),
-                restarts: shard.restarts() as u64,
-                periods: periods_at_checkpoint,
-                state: shard.state().to_string(),
-            });
-            if changed {
-                self.roster.save(&dir)?;
+            let restarts = shard.restarts() as u64;
+            let state = shard.state().as_str();
+            if self
+                .roster
+                .note(source, restarts, periods_at_checkpoint, state)
+            {
+                self.roster.save(dir)?;
             }
         }
         Ok(())
@@ -137,16 +135,11 @@ impl Supervisor {
     /// Records a closed shard's final account in the registry and roster.
     fn note_closed(&mut self, summary: &ShardSummary) -> Result<(), ServeError> {
         self.registry.close(summary);
-        if let Some(dir) = self.options.checkpoint_dir.clone() {
-            let changed = self.roster.record(RosterEntry {
-                source: summary.source.clone(),
-                checkpoint: format!("{}.ckpt", summary.source),
-                restarts: summary.restarts as u64,
-                periods: summary.periods as u64,
-                state: summary.state.to_string(),
-            });
-            if changed {
-                self.roster.save(&dir)?;
+        if let Some(dir) = &self.options.checkpoint_dir {
+            let (restarts, periods) = (summary.restarts as u64, summary.periods as u64);
+            let state = summary.state.as_str();
+            if self.roster.note(&summary.source, restarts, periods, state) {
+                self.roster.save(dir)?;
             }
         }
         Ok(())

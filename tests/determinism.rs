@@ -19,59 +19,22 @@
 //! workers with `ensure_workers` first (results must be identical either
 //! way; forcing merely makes the assertion non-vacuous).
 
-use bbmg::core::{learn, learn_with, matches_trace, matches_trace_parallel, Budget, LearnOptions};
+use bbmg::core::{
+    learn, learn_with, matches_trace, matches_trace_parallel, Budget, LearnOptions,
+    BRANCH_WAVE_WORDS,
+};
 use bbmg::lattice::TaskId;
 use bbmg::obs::{Event, Metrics, MetricsSnapshot, Recorder, Summary, Tee};
+use bbmg::sim::{SimConfig, Simulator};
 use bbmg::trace::{EventKind, Timestamp, Trace, TraceBuilder};
+use bbmg::workloads::random::{random_model, RandomModelConfig};
 use bbmg::workloads::{gm, simple};
 
-/// One period with 8 possible senders and 8 possible receivers per
-/// message: the exact algorithm branches far past the parallel fan-out
-/// threshold and the budget sample window.
-fn blowup_trace() -> Trace {
-    let names: Vec<String> = (0..8)
-        .map(|i| format!("s{i}"))
-        .chain((0..8).map(|i| format!("r{i}")))
-        .collect();
-    let u = bbmg::lattice::TaskUniverse::from_names(names);
-    let senders: Vec<TaskId> = (0..8)
-        .map(|i| u.lookup(&format!("s{i}")).unwrap())
-        .collect();
-    let receivers: Vec<TaskId> = (0..8)
-        .map(|i| u.lookup(&format!("r{i}")).unwrap())
-        .collect();
-    let mut b = TraceBuilder::new(u);
-    b.begin_period();
-    for (i, s) in senders.iter().enumerate() {
-        b.event(Timestamp::new(i as u64), EventKind::TaskStart(*s))
-            .unwrap();
-    }
-    for (i, s) in senders.iter().enumerate() {
-        b.event(Timestamp::new(10 + i as u64), EventKind::TaskEnd(*s))
-            .unwrap();
-    }
-    b.message(Timestamp::new(20), Timestamp::new(21)).unwrap();
-    b.message(Timestamp::new(22), Timestamp::new(23)).unwrap();
-    for (i, r) in receivers.iter().enumerate() {
-        b.event(Timestamp::new(60 + i as u64), EventKind::TaskStart(*r))
-            .unwrap();
-    }
-    for (i, r) in receivers.iter().enumerate() {
-        b.event(Timestamp::new(70 + i as u64), EventKind::TaskEnd(*r))
-            .unwrap();
-    }
-    b.end_period().unwrap();
-    b.finish()
-}
-
-/// A wider variant — 10 possible senders × 10 possible receivers over a
-/// 20-task universe (20 packed words per matrix) — sized so the second
-/// message's branch volume (100 hypotheses × 100 candidates × 20 words =
-/// 200 Ki words) crosses `PARALLEL_BRANCH_WORDS`, the post-period scan
-/// crosses `PARALLEL_SCAN_WORDS`, and a bound-64 run crosses
-/// `BOUNDED_BRANCH_WORDS`: every parallel learner path runs for real.
-fn wide_blowup_trace() -> Trace {
-    let width = 10usize;
+/// One period in which each of `messages` messages can come from any of
+/// `width` senders and go to any of `width` receivers: the exact
+/// algorithm branches every hypothesis over `width²` candidate pairs per
+/// message, over a `2·width`-task universe.
+fn blowup(width: usize, messages: usize) -> Trace {
     let names: Vec<String> = (0..width)
         .map(|i| format!("s{i}"))
         .chain((0..width).map(|i| format!("r{i}")))
@@ -93,8 +56,10 @@ fn wide_blowup_trace() -> Trace {
         b.event(Timestamp::new(10 + i as u64), EventKind::TaskEnd(*s))
             .unwrap();
     }
-    b.message(Timestamp::new(30), Timestamp::new(31)).unwrap();
-    b.message(Timestamp::new(32), Timestamp::new(33)).unwrap();
+    for m in 0..messages as u64 {
+        b.message(Timestamp::new(30 + 2 * m), Timestamp::new(31 + 2 * m))
+            .unwrap();
+    }
     for (i, r) in receivers.iter().enumerate() {
         b.event(Timestamp::new(60 + i as u64), EventKind::TaskStart(*r))
             .unwrap();
@@ -105,6 +70,64 @@ fn wide_blowup_trace() -> Trace {
     }
     b.end_period().unwrap();
     b.finish()
+}
+
+/// 8 senders × 8 receivers, two messages: the exact algorithm branches
+/// far past the parallel fan-out threshold and the budget sample window.
+fn blowup_trace() -> Trace {
+    blowup(8, 2)
+}
+
+/// A wider variant — 10 possible senders × 10 possible receivers over a
+/// 20-task universe (20 packed words per matrix) — sized so the second
+/// message's branch volume (100 hypotheses × 100 candidates × 20 words =
+/// 200 Ki words) crosses `PARALLEL_BRANCH_WORDS`, the post-period scan
+/// crosses `PARALLEL_SCAN_WORDS`, and a bound-64 run crosses
+/// `BOUNDED_BRANCH_WORDS`: every parallel learner path runs for real.
+fn wide_blowup_trace() -> Trace {
+    blowup(10, 2)
+}
+
+/// The capture `bbmg simulate --workload random:tasks=7 --periods 8
+/// --seed 4` writes (the benchmark's `exact_random7`, before its
+/// relabelling). Its exact learn peaks at 539,184 hypotheses, so its
+/// widest messages span dozens of [`BRANCH_WAVE_WORDS`] waves.
+fn random7_trace() -> Trace {
+    let model = random_model(&RandomModelConfig {
+        tasks: 7,
+        edge_probability: 0.3,
+        seed: 4,
+        ..RandomModelConfig::default()
+    });
+    let config = SimConfig {
+        periods: 8,
+        period_length: 100_000,
+        seed: 4,
+        ..SimConfig::default()
+    };
+    Simulator::new(&model, config)
+        .run()
+        .expect("simulation succeeds")
+        .trace
+}
+
+/// The largest branch volume (`parents × candidates × packed words`, the
+/// unit of the fan-out gates and of [`BRANCH_WAVE_WORDS`]) of any message
+/// in a recorded event stream.
+fn widest_message_words(trace: &Trace, events: &[Event]) -> usize {
+    let words = bbmg::lattice::DependencyFunction::words_per_function(trace.task_count());
+    let (mut parents, mut widest) = (1, 0);
+    for event in events {
+        match *event {
+            Event::MessageBranch { candidates, .. } => {
+                widest = widest.max(parents * candidates * words);
+            }
+            Event::HypothesisSet { size, .. } => parents = size,
+            Event::PeriodEnd { hypotheses, .. } => parents = hypotheses,
+            _ => {}
+        }
+    }
+    widest
 }
 
 /// Grows the process-wide pool past the single-core `provision` clamp so
@@ -133,17 +156,17 @@ fn normalize_metrics(mut snapshot: MetricsSnapshot) -> MetricsSnapshot {
     snapshot
 }
 
-/// Runs `options` over `trace` with a recorder and metrics attached,
-/// returning everything a determinism comparison needs.
-fn instrumented_run(
-    trace: &Trace,
-    options: LearnOptions,
-) -> (
+/// Everything a determinism comparison needs from one learn: the
+/// outcome, the statistics, the normalized events and metrics.
+type Run = (
     Result<Vec<bbmg::lattice::DependencyFunction>, String>,
     bbmg::core::LearnStats,
     Vec<Event>,
     MetricsSnapshot,
-) {
+);
+
+/// Runs `options` over `trace` with a recorder and metrics attached.
+fn instrumented_run(trace: &Trace, options: LearnOptions) -> Run {
     let mut recorder = Recorder::new();
     let mut metrics = Metrics::new();
     let outcome = {
@@ -171,18 +194,24 @@ fn instrumented_run(
     )
 }
 
-#[test]
-fn exact_blowup_is_byte_identical_across_thread_counts() {
-    force_real_workers();
-    let trace = blowup_trace();
-    let baseline = instrumented_run(&trace, LearnOptions::exact());
-    for threads in [2usize, 8] {
-        let run = instrumented_run(&trace, LearnOptions::exact().with_parallelism(threads));
+/// Asserts that `options` over `trace` reproduces `baseline` exactly at
+/// each of `threads`.
+fn assert_reproduced(trace: &Trace, options: LearnOptions, baseline: &Run, threads: &[usize]) {
+    for &threads in threads {
+        let run = instrumented_run(trace, options.with_parallelism(threads));
         assert_eq!(baseline.0, run.0, "hypotheses differ at {threads} threads");
         assert_eq!(baseline.1, run.1, "stats differ at {threads} threads");
         assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
         assert_eq!(baseline.3, run.3, "metrics differ at {threads} threads");
     }
+}
+
+#[test]
+fn exact_blowup_is_byte_identical_across_thread_counts() {
+    force_real_workers();
+    let trace = blowup_trace();
+    let baseline = instrumented_run(&trace, LearnOptions::exact());
+    assert_reproduced(&trace, LearnOptions::exact(), &baseline, &[2, 8]);
 }
 
 #[test]
@@ -195,13 +224,7 @@ fn wide_exact_blowup_crosses_every_gate_and_stays_identical() {
         "workload must cross the sample window, generated {}",
         baseline.1.hypotheses_generated
     );
-    for threads in [2usize, 4, 8] {
-        let run = instrumented_run(&trace, LearnOptions::exact().with_parallelism(threads));
-        assert_eq!(baseline.0, run.0, "hypotheses differ at {threads} threads");
-        assert_eq!(baseline.1, run.1, "stats differ at {threads} threads");
-        assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
-        assert_eq!(baseline.3, run.3, "metrics differ at {threads} threads");
-    }
+    assert_reproduced(&trace, LearnOptions::exact(), &baseline, &[2, 4, 8]);
 }
 
 #[test]
@@ -215,13 +238,7 @@ fn bounded_parallel_generation_is_byte_identical() {
     let trace = wide_blowup_trace();
     let baseline = instrumented_run(&trace, LearnOptions::bounded(64));
     assert!(baseline.1.merges > 0, "the bound must actually overflow");
-    for threads in [2usize, 8] {
-        let run = instrumented_run(&trace, LearnOptions::bounded(64).with_parallelism(threads));
-        assert_eq!(baseline.0, run.0, "hypotheses differ at {threads} threads");
-        assert_eq!(baseline.1, run.1, "stats differ at {threads} threads");
-        assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
-        assert_eq!(baseline.3, run.3, "metrics differ at {threads} threads");
-    }
+    assert_reproduced(&trace, LearnOptions::bounded(64), &baseline, &[2, 8]);
 }
 
 #[test]
@@ -291,17 +308,40 @@ fn bounded_mode_is_untouched_by_thread_count() {
     assert_eq!(baseline, run);
 }
 
-#[test]
-fn budget_trips_at_the_same_step_at_any_thread_count() {
-    let trace = blowup_trace();
-    let options = LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(1024));
-    let baseline = instrumented_run(&trace, options);
-    assert!(baseline.0.is_err(), "the budget must trip on this workload");
-    for threads in [2usize, 8] {
-        let run = instrumented_run(&trace, options.with_parallelism(threads));
+/// Runs `options` over `trace` at 1 thread and at each of `threads`,
+/// asserting the run fails, and with the same error and event stream
+/// (every budget heartbeat carries its step count) at each thread count.
+fn assert_trips_identically(trace: &Trace, options: LearnOptions, threads: &[usize]) {
+    let baseline = instrumented_run(trace, options);
+    assert!(baseline.0.is_err(), "the limit must trip on this workload");
+    for &threads in threads {
+        let run = instrumented_run(trace, options.with_parallelism(threads));
         assert_eq!(baseline.0, run.0, "error differs at {threads} threads");
         assert_eq!(baseline.2, run.2, "events differ at {threads} threads");
     }
+}
+
+#[test]
+fn budget_trips_at_the_same_step_at_any_thread_count() {
+    let options = LearnOptions::exact().with_budget(Budget::unlimited().with_max_steps(1024));
+    assert_trips_identically(&blowup_trace(), options, &[2, 8]);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 1.6M-child exact learn; CI runs it in release"
+)]
+fn multi_wave_budget_and_set_limit_trip_at_the_same_step_at_any_thread_count() {
+    // Both limits trip inside messages that span several generation
+    // waves, so the parallel reduce stops mid-message after some waves
+    // were generated and others were not.
+    force_real_workers();
+    let trace = random7_trace();
+    let exact = LearnOptions::exact();
+    let steps = exact.with_budget(Budget::unlimited().with_max_steps(300_000));
+    assert_trips_identically(&trace, steps, &[2, 4]);
+    assert_trips_identically(&trace, exact.with_set_limit(200_000), &[2, 4]);
 }
 
 #[test]
@@ -396,4 +436,51 @@ fn exact_blowups_match_golden_pins() {
             );
         }
     }
+}
+
+/// Learns `trace` with `options` at 1 thread, checks that its widest
+/// message spans at least three generation waves and that the learn
+/// matches `pin` — `(antichain fingerprint, generated, merges, peak
+/// set)`, recorded before waves existed — then that 2 and 4 threads
+/// reproduce it exactly: wave boundaries must not show in the result.
+fn assert_multi_wave(trace: &Trace, options: LearnOptions, pin: (u64, usize, usize, usize)) {
+    force_real_workers();
+    let baseline = instrumented_run(trace, options);
+    let widest = widest_message_words(trace, &baseline.2);
+    assert!(
+        widest >= 3 * BRANCH_WAVE_WORDS,
+        "the widest message must span at least 3 waves, spans {widest} words"
+    );
+    let hypotheses = baseline.0.as_ref().expect("pinned workloads learn");
+    let stats = &baseline.1;
+    assert_eq!(
+        (
+            bbmg::core::antichain_fingerprint(hypotheses),
+            stats.hypotheses_generated,
+            stats.merges,
+            stats.peak_set_size,
+        ),
+        pin
+    );
+    assert_reproduced(trace, options, &baseline, &[2, 4]);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 1.6M-child exact learn; CI runs it in release"
+)]
+fn multi_wave_exact_learn_is_byte_identical_and_matches_golden_pins() {
+    // The traced ledger's `exact_random7` counts.
+    let pin = (9_591_046_184_460_844_114, 1_646_091, 0, 539_184);
+    assert_multi_wave(&random7_trace(), LearnOptions::exact(), pin);
+}
+
+#[test]
+fn multi_wave_bounded_learn_is_byte_identical_and_matches_golden_pins() {
+    // Bound 512 over three 10×10 messages: the third message branches
+    // 512 parents × 100 candidates × 20 words, four waves, and every
+    // overflow merge depends on the order the waves are reduced in.
+    let pin = (5_299_162_928_085_218_573, 56_250, 55_126, 512);
+    assert_multi_wave(&blowup(10, 3), LearnOptions::bounded(512), pin);
 }
