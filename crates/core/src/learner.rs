@@ -450,23 +450,33 @@ impl Learner {
         &mut self,
         period: usize,
         observer: &mut O,
-        parents: Rows,
+        mut parents: Rows,
         plan: Vec<Branch>,
     ) -> Result<Rows, LearnError> {
         let shape = parents.shape();
+        let (dedup, gate) = if self.options.bound.is_some() {
+            // Merged rows are never deduplicated, so a bounded working
+            // list can hold equal rows; every child of a later copy is a
+            // duplicate of one of the first copy's, which dedup would
+            // reject without a side effect. Branch each row once.
+            let unique = parents.first_occurrences();
+            if unique.len() < parents.len() {
+                parents = parents.gather(unique.into_iter());
+            }
+            // At most one child per (parent, branch) is admitted.
+            let children = parents.len() * plan.len();
+            (Dedup::with_capacity(children), BOUNDED_BRANCH_WORDS)
+        } else {
+            (Dedup::default(), PARALLEL_BRANCH_WORDS)
+        };
         let mut state = Branching {
             rows: Rows::new(shape),
-            dedup: Dedup::default(),
+            dedup,
             bounded: self.options.bound.map(|bound| Bounded {
                 bound: bound.get(),
                 union: self.options.merge_assumptions == MergeAssumptions::Union,
                 working: VecDeque::new(),
             }),
-        };
-        let gate = if state.bounded.is_some() {
-            BOUNDED_BRANCH_WORDS
-        } else {
-            PARALLEL_BRANCH_WORDS
         };
         let threads = self.branch_threads(parents.len(), plan.len(), gate);
         if threads > 1 {
@@ -546,7 +556,6 @@ impl Learner {
             }
             return Ok(());
         };
-        let shape = state.rows.shape();
         bounded.insert(weight, index);
         if bounded.working.len() > bounded.bound {
             // Replace the two lowest-weight hypotheses by their least
@@ -556,8 +565,7 @@ impl Learner {
                 .pop_front()
                 .expect("overflow implies nonempty");
             let (wb, b) = bounded.working.pop_front().expect("bound >= 1");
-            let merged = state.rows.push_merge(a, b, bounded.union);
-            let weight = shape.weight(state.rows.row(merged));
+            let (merged, weight) = state.rows.push_merge(a, wa, b, bounded.union);
             observer.merge(period, (wa, wb), weight);
             bounded.insert(weight, merged);
             self.stats.merges += 1;
@@ -650,15 +658,11 @@ impl Learner {
         set.strip_assumptions();
         set.debug_validate("post-processing", true);
         let shape = set.shape();
-        let mut dedup = Dedup::default();
-        let mut unique: Vec<(u64, usize)> = Vec::with_capacity(set.len());
-        for i in 0..set.len() {
-            let row = set.row(i);
-            if dedup.insert(shape.fingerprint(row), i, |j| set.row(j) == row) {
-                unique.push((shape.weight(row), i));
-            }
-        }
-        drop(dedup);
+        let mut unique: Vec<(u64, usize)> = set
+            .first_occurrences()
+            .into_iter()
+            .map(|i| (shape.weight(set.row(i)), i))
+            .collect();
         unique.sort_by_key(|&(weight, _)| weight);
         let mut arena = FunctionArena::with_capacity(self.tasks, unique.len());
         for &(_, i) in &unique {

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
-use bbmg_lattice::packed::{cell_slot, encode, word_weaken, word_weight, BITS_PER_CELL};
+use bbmg_lattice::packed::{cell_slot, encode, word_weaken, word_weight, BITS_PER_CELL, CELL_MASK};
 use bbmg_lattice::{DependencyFunction, DependencyValue, TaskId, TaskSet};
 
 /// The word layout of one row over a `tasks`-task universe.
@@ -27,13 +27,40 @@ pub(crate) struct RowShape {
 }
 
 /// One branching step of a message, precomputed once per candidate pair:
-/// the `(word, bits)` to OR into the forward cell `d(s, r)`, the backward
-/// cell `d(r, s)` and the assumption bitset.
+/// the value to join into the forward cell `d(s, r)` and the backward
+/// cell `d(r, s)`, and the `(word, bits)` to OR into the assumption
+/// bitset.
 #[derive(Clone, Copy)]
 pub(crate) struct Branch {
-    forward: (usize, u64),
-    backward: (usize, u64),
+    forward: Cell,
+    backward: Cell,
     assumption: (usize, u64),
+}
+
+/// A cube code to OR into one cell of a row: word index, bit shift.
+#[derive(Clone, Copy)]
+struct Cell {
+    word: usize,
+    shift: usize,
+    code: u64,
+}
+
+/// The weight (`s²`, `s` = bits set) of each 3-bit cube code.
+const CELL_WEIGHT: [u64; 8] = [0, 1, 1, 4, 1, 4, 4, 9];
+
+impl Cell {
+    /// ORs the code into `word`, returning the new word and the weight it
+    /// adds: only this cell changes, so the delta is a table lookup of
+    /// its old and new codes instead of two whole-word weights.
+    #[inline]
+    fn join(self, word: u64) -> (u64, u64) {
+        let old = (word >> self.shift) & CELL_MASK;
+        let new = old | self.code;
+        (
+            word | self.code << self.shift,
+            CELL_WEIGHT[new as usize] - CELL_WEIGHT[old as usize],
+        )
+    }
 }
 
 impl RowShape {
@@ -79,7 +106,11 @@ impl RowShape {
     ) -> Branch {
         let cell = |from: TaskId, to: TaskId, value| {
             let (word, shift) = cell_slot(from.index() * self.tasks + to.index());
-            (word, encode(value) << shift)
+            Cell {
+                word,
+                shift,
+                code: encode(value),
+            }
         };
         let pair = sender.index() * self.tasks + receiver.index();
         Branch {
@@ -103,6 +134,28 @@ impl RowShape {
             }
         }
         mask
+    }
+
+    /// Checks an incrementally computed weight (and fingerprint, if
+    /// given) against a full recompute of `row`, panicking naming
+    /// `context` on a mismatch. Runs in debug builds and under the
+    /// `debug-invariants` cargo feature; a no-op otherwise.
+    #[inline]
+    fn check_row(&self, context: &str, row: &[u64], fingerprint: Option<u64>, weight: u64) {
+        if cfg!(any(debug_assertions, feature = "debug-invariants")) {
+            assert_eq!(
+                weight,
+                self.weight(row),
+                "debug-invariants[{context}]: incremental weight"
+            );
+            if let Some(fingerprint) = fingerprint {
+                assert_eq!(
+                    fingerprint,
+                    self.fingerprint(row),
+                    "debug-invariants[{context}]: incremental fingerprint"
+                );
+            }
+        }
     }
 }
 
@@ -193,8 +246,10 @@ impl Rows {
     /// (parent-major, branch-minor) order, with its fingerprint and
     /// weight, skipping branches whose pair the parent already assumed.
     /// Children are built in one scratch row, so `visit` copies what it
-    /// keeps. A branch changes at most three words, so the fingerprint
-    /// sum and the weight are the parent's, corrected for those words.
+    /// keeps. A branch changes one cell in each of at most two function
+    /// words plus one assumption word, so the fingerprint sum is the
+    /// parent's with those words' terms swapped and the weight is the
+    /// parent's plus the two cells' deltas ([`Cell::join`]).
     pub(crate) fn children<E>(
         &self,
         parents: Range<usize>,
@@ -207,46 +262,75 @@ impl Rows {
             let parent = self.row(p);
             let (parent_sum, parent_weight) = (shape.fingerprint_sum(parent), shape.weight(parent));
             for b in plan {
-                if parent[b.assumption.0] & b.assumption.1 != 0 {
+                let (word, bits) = b.assumption;
+                if parent[word] & bits != 0 {
                     continue;
                 }
                 child.copy_from_slice(parent);
-                let (mut sum, mut weight) = (parent_sum, parent_weight);
-                for (word, bits) in [b.forward, b.backward, b.assumption] {
-                    let (old, new) = (child[word], child[word] | bits);
-                    child[word] = new;
+                child[word] |= bits;
+                let mut sum = parent_sum
+                    .wrapping_sub(term(word, parent[word]))
+                    .wrapping_add(term(word, child[word]));
+                let mut weight = parent_weight;
+                for cell in [b.forward, b.backward] {
+                    let old = child[cell.word];
+                    let (new, gained) = cell.join(old);
+                    child[cell.word] = new;
                     sum = sum
-                        .wrapping_sub(term(word, old))
-                        .wrapping_add(term(word, new));
-                    if word < shape.function {
-                        weight = weight + word_weight(new) - word_weight(old);
-                    }
+                        .wrapping_sub(term(cell.word, old))
+                        .wrapping_add(term(cell.word, new));
+                    weight += gained;
                 }
-                debug_assert_eq!(sum, shape.fingerprint_sum(&child));
-                debug_assert_eq!(weight, shape.weight(&child));
-                visit(&child, finalize(sum), weight)?;
+                let fingerprint = finalize(sum);
+                shape.check_row("child", &child, Some(fingerprint), weight);
+                visit(&child, fingerprint, weight)?;
             }
         }
         Ok(())
     }
 
-    /// Appends the §3.2 merge of rows `a` and `b`: the functions' least
-    /// upper bound (word OR), with the assumption sets united (`union`)
-    /// or intersected. Returns the new row's index.
-    pub(crate) fn push_merge(&mut self, a: usize, b: usize, union: bool) -> usize {
-        let stride = self.shape.stride;
+    /// Appends the §3.2 merge of rows `a` (of weight `weight_a`) and `b`:
+    /// the functions' least upper bound (word OR), with the assumption
+    /// sets united (`union`) or intersected. Returns the new row's index
+    /// and weight. The weight is `weight_a` corrected only for the words
+    /// where `b` sets a bit `a` lacks, so a merge of near-equal rows (the
+    /// common case: the two lowest-weight rows of a working list) re-weighs
+    /// few words.
+    pub(crate) fn push_merge(
+        &mut self,
+        a: usize,
+        weight_a: u64,
+        b: usize,
+        union: bool,
+    ) -> (usize, u64) {
+        let (stride, function) = (self.shape.stride, self.shape.function);
         let at = self.words.len();
         self.words.extend_from_within(a * stride..(a + 1) * stride);
-        for k in 0..stride {
-            let other = self.words[b * stride + k];
-            if k < self.shape.function || union {
-                self.words[at + k] |= other;
-            } else {
-                self.words[at + k] &= other;
+        let (rows, merged) = self.words.split_at_mut(at);
+        let other = &rows[b * stride..(b + 1) * stride];
+        let (merged_function, merged_assumptions) = merged.split_at_mut(function);
+        let (other_function, other_assumptions) = other.split_at(function);
+        let mut weight = weight_a;
+        for (&m, &o) in merged_function.iter().zip(other_function) {
+            if o & !m != 0 {
+                weight += word_weight(m | o) - word_weight(m);
             }
         }
+        for (m, &o) in merged_function.iter_mut().zip(other_function) {
+            *m |= o;
+        }
+        if union {
+            for (m, &o) in merged_assumptions.iter_mut().zip(other_assumptions) {
+                *m |= o;
+            }
+        } else {
+            for (m, &o) in merged_assumptions.iter_mut().zip(other_assumptions) {
+                *m &= o;
+            }
+        }
+        self.shape.check_row("merge", merged, None, weight);
         self.len += 1;
-        self.len - 1
+        (self.len - 1, weight)
     }
 
     /// The rows at `order`, copied in that order into a fresh set.
@@ -257,6 +341,18 @@ impl Rows {
             out.push(self.row(i));
         }
         out
+    }
+
+    /// The index of the first occurrence of each distinct row (function
+    /// and assumptions), in order.
+    pub(crate) fn first_occurrences(&self) -> Vec<usize> {
+        let mut dedup = Dedup::with_capacity(self.len);
+        (0..self.len)
+            .filter(|&i| {
+                let row = self.row(i);
+                dedup.insert(self.shape.fingerprint(row), i, |j| self.row(j) == row)
+            })
+            .collect()
     }
 
     /// Checks every row with the shared [`bbmg_lattice::invariant`]
@@ -324,6 +420,14 @@ pub(crate) struct Dedup {
 }
 
 impl Dedup {
+    /// A dedup with room for `rows` recorded rows before it reallocates.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        Dedup {
+            heads: HashMap::with_capacity_and_hasher(rows, BuildHasherDefault::default()),
+            next: Vec::with_capacity(rows),
+        }
+    }
+
     /// Whether a row with `fingerprint` differs from every row recorded
     /// so far, `same(j)` deciding equality with recorded index `j`; if
     /// so, records it as `index` (greater than every earlier index;
@@ -352,6 +456,10 @@ impl Dedup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbmg_lattice::packed::CELLS_PER_WORD;
+    use bbmg_lattice::ALL_VALUES;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use DependencyValue as V;
 
     fn t(i: usize) -> TaskId {
@@ -463,8 +571,9 @@ mod tests {
         let mut rows = Rows::new(shape);
         rows.push(&assume(shape, &row, 0, 1));
         rows.push(&assume(shape, &row, 1, 2));
-        let u = rows.push_merge(0, 1, true);
-        let i = rows.push_merge(0, 1, false);
+        let weight = shape.weight(rows.row(0));
+        let (u, _) = rows.push_merge(0, weight, 1, true);
+        let (i, _) = rows.push_merge(0, weight, 1, false);
         assert!(assumes(shape, rows.row(u), 0, 1) && assumes(shape, rows.row(u), 1, 2));
         assert!(rows.row(i)[shape.function..].iter().all(|&w| w == 0));
         let f = function(shape, rows.row(u));
@@ -485,5 +594,116 @@ mod tests {
         // Equal to index 0 (two links down the chain): a duplicate.
         assert!(!dedup.insert(7, 3, |j| j == 0));
         assert!(dedup.insert(8, 3, |_| unreachable!("other fingerprint")));
+    }
+
+    #[test]
+    fn cell_delta_weight_matches_a_full_recompute() {
+        // Five tasks: 25 cells, so every slot of word 0 is a real cell.
+        let (shape, mut row) = bottom(5);
+        let mut rng = SmallRng::seed_from_u64(2007);
+        for shift in (0..CELLS_PER_WORD).map(|slot| slot * BITS_PER_CELL) {
+            for old in ALL_VALUES {
+                for value in ALL_VALUES {
+                    // Random neighbours: the delta must ignore them.
+                    for w in &mut row[..shape.function] {
+                        *w = (0..CELLS_PER_WORD).fold(0, |acc, slot| {
+                            let v = ALL_VALUES[rng.gen_range(0..ALL_VALUES.len())];
+                            acc | encode(v) << (slot * BITS_PER_CELL)
+                        });
+                    }
+                    row[0] = row[0] & !(CELL_MASK << shift) | encode(old) << shift;
+                    let before = shape.weight(&row);
+                    let cell = Cell {
+                        word: 0,
+                        shift,
+                        code: encode(value),
+                    };
+                    let (new, gained) = cell.join(row[0]);
+                    row[0] = new;
+                    assert_eq!(
+                        before + gained,
+                        shape.weight(&row),
+                        "{old} ⊔ {value} at {shift}"
+                    );
+                    assert_eq!(new >> shift & CELL_MASK, encode(old.join(value)));
+                }
+            }
+        }
+    }
+
+    /// A row of random cube codes with random valid assumption bits.
+    fn random_row(shape: RowShape, rng: &mut SmallRng) -> Vec<u64> {
+        let mut row = vec![0; shape.stride];
+        for cell in 0..shape.tasks * shape.tasks {
+            let (from, to) = (cell / shape.tasks, cell % shape.tasks);
+            if from == to {
+                continue;
+            }
+            let (word, shift) = cell_slot(cell);
+            row[word] |= encode(ALL_VALUES[rng.gen_range(0..ALL_VALUES.len())]) << shift;
+            if rng.gen_bool(0.3) {
+                row[shape.function + cell / 64] |= 1 << (cell % 64);
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn incremental_merge_weight_matches_a_full_recompute() {
+        // Nine tasks: 81 cells over four function words and two
+        // assumption words, so word boundaries are crossed.
+        let shape = RowShape::new(9);
+        let mut rng = SmallRng::seed_from_u64(15);
+        for case in 0..250 {
+            let mut a = random_row(shape, &mut rng);
+            let b = match case % 5 {
+                // Nested both ways, overlapping, identical, and `a` = ⊥
+                // (every function word of `a` is zero).
+                0 => a
+                    .iter()
+                    .zip(random_row(shape, &mut rng))
+                    .map(|(x, y)| x | y)
+                    .collect(),
+                1 => a
+                    .iter()
+                    .zip(random_row(shape, &mut rng))
+                    .map(|(x, y)| x & y)
+                    .collect(),
+                2 => random_row(shape, &mut rng),
+                3 => a.clone(),
+                _ => {
+                    a.fill(0);
+                    random_row(shape, &mut rng)
+                }
+            };
+            for union in [true, false] {
+                let mut rows = Rows::new(shape);
+                rows.push(&a);
+                rows.push(&b);
+                let (merged, weight) = rows.push_merge(0, shape.weight(&a), 1, union);
+                let row = rows.row(merged);
+                assert_eq!(weight, shape.weight(row), "case {case}, union {union}");
+                for (k, (&x, &y)) in a.iter().zip(&b).enumerate() {
+                    let joined = x | y;
+                    let assumed = if union { x | y } else { x & y };
+                    assert_eq!(row[k], if k < shape.function { joined } else { assumed });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_occurrences_keep_the_first_copy_of_each_row_in_order() {
+        let (shape, row) = bottom(3);
+        let x = assume(shape, &row, 0, 1);
+        let y = assume(shape, &row, 1, 2);
+        // `x` with the same function but one more assumed pair.
+        let mut x_more = x.clone();
+        x_more[shape.function] |= 1 << 5;
+        let mut rows = Rows::new(shape);
+        for r in [&x, &y, &x, &row, &y, &x_more, &x] {
+            rows.push(r);
+        }
+        assert_eq!(rows.first_occurrences(), [0, 1, 3, 5]);
     }
 }

@@ -20,8 +20,8 @@
 //! way; forcing merely makes the assertion non-vacuous).
 
 use bbmg::core::{
-    learn, learn_with, matches_trace, matches_trace_parallel, Budget, LearnOptions,
-    BRANCH_WAVE_WORDS,
+    learn, learn_with, matches_trace, matches_trace_parallel, Budget, LearnError, LearnOptions,
+    MergeAssumptions, BRANCH_WAVE_WORDS,
 };
 use bbmg::lattice::TaskId;
 use bbmg::obs::{Event, Metrics, MetricsSnapshot, Recorder, Summary, Tee};
@@ -391,22 +391,66 @@ fn gm_sizes(head: &[usize]) -> Vec<usize> {
 #[test]
 fn gm_bound_sweep_matches_golden_pins() {
     // Golden values: any change to admission, dedup or merge order
-    // moves these numbers. Every bound converges to the same model
-    // (Theorem 4).
+    // moves these numbers. Bounds 1 to 120 converge to the same model;
+    // bound 150 merges its way to a different single hypothesis.
     const GM_MODEL: u64 = 17_045_702_320_792_801_147;
     let trace = gm::gm_trace(2007).expect("simulation succeeds").trace;
     let pins = [
-        (1usize, 11_520usize, 11_179usize, 1usize, gm_sizes(&[])),
-        (16, 87_542, 82_169, 16, gm_sizes(&[2, 2])),
-        (100, 406_204, 374_394, 100, gm_sizes(&[19, 2])),
+        (1usize, GM_MODEL, 11_520usize, 11_179usize, gm_sizes(&[])),
+        (16, GM_MODEL, 87_542, 82_169, gm_sizes(&[2, 2])),
+        (100, GM_MODEL, 406_204, 374_394, gm_sizes(&[19, 2])),
+        (
+            150,
+            2_590_677_292_866_410_309,
+            590_056,
+            542_654,
+            gm_sizes(&[21, 3]),
+        ),
     ];
-    for (bound, generated, merges, peak, sizes) in pins {
+    for (bound, model, generated, merges, sizes) in pins {
         assert_eq!(
             pin_of(&trace, LearnOptions::bounded(bound)),
-            (GM_MODEL, generated, merges, peak, sizes),
+            (model, generated, merges, bound, sizes),
             "bound {bound}"
         );
     }
+}
+
+#[test]
+fn gm_union_merges_match_golden_pins() {
+    // The default pins above intersect merged assumption sets; these
+    // unite them, the other half of the merge kernel.
+    const GM_MODEL: u64 = 17_045_702_320_792_801_147;
+    let trace = gm::gm_trace(2007).expect("simulation succeeds").trace;
+    let union =
+        |bound| LearnOptions::bounded(bound).with_merge_assumptions(MergeAssumptions::Union);
+    let pins = [
+        (16usize, 53_757usize, 48_391usize, gm_sizes(&[14, 2])),
+        (100, 323_480, 291_699, gm_sizes(&[24, 4])),
+    ];
+    for (bound, generated, merges, sizes) in pins {
+        assert_eq!(
+            pin_of(&trace, union(bound)),
+            (GM_MODEL, generated, merges, bound, sizes),
+            "bound {bound}"
+        );
+    }
+}
+
+#[test]
+fn gm_union_merges_abort_at_bound_one() {
+    // The one hypothesis accumulates every branch's pair, so the third
+    // message finds all its candidates already assumed (why intersection
+    // is the default; see `MergeAssumptions`).
+    let trace = gm::gm_trace(2007).expect("simulation succeeds").trace;
+    let union = LearnOptions::bounded(1).with_merge_assumptions(MergeAssumptions::Union);
+    assert!(matches!(
+        learn(&trace, union),
+        Err(LearnError::Inconsistent {
+            period: 0,
+            message: Some(m)
+        }) if m.index() == 2
+    ));
 }
 
 #[test]
