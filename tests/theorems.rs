@@ -9,6 +9,9 @@
 //! * **Lemma / Theorem 4 (convergence)** — directional form: the bound-1
 //!   result generalizes the least upper bound of the exact set (see the
 //!   test docs for why strict equality is not universally reproducible).
+//! * **§3.2 (bounded heuristic)** — no working set exceeds the bound, a
+//!   bounded result is an antichain, and a run that never merges is the
+//!   exact run.
 //!
 //! Models are kept small (≤ 6 tasks) so the exact algorithm stays
 //! tractable; each case still exercises disjunction branching, weakening
@@ -20,6 +23,7 @@ use bbmg::sim::{SimConfig, Simulator};
 use bbmg::trace::Trace;
 use bbmg::workloads::random::{random_model, RandomModelConfig};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// A small random simulated trace, parameterized by seeds.
 fn small_trace(tasks: usize, model_seed: u64, sim_seed: u64, periods: usize) -> Trace {
@@ -169,6 +173,76 @@ proptest! {
                 exact.hypotheses().iter().any(|e| e.leq(h)),
                 "bounded hypothesis not above any exact one"
             );
+        }
+    }
+
+    /// Until its first merge the bounded heuristic is the exact algorithm:
+    /// with a bound no working set reaches, it returns the exact set and
+    /// generates the same children. Bounded branching skips repeated
+    /// parents (copies that weakening or a merge produced); this pins that
+    /// the skip drops no child dedup would have kept.
+    #[test]
+    fn unmerged_bounded_learn_equals_exact(
+        tasks in 3usize..6,
+        model_seed in 0u64..1000,
+        sim_seed in 0u64..1000,
+    ) {
+        let trace = small_trace(tasks, model_seed, sim_seed, 6);
+        let limit = 200_000;
+        let Ok(exact) = learn(&trace, LearnOptions::exact().with_set_limit(limit)) else {
+            return Ok(());
+        };
+        let bounded = learn(&trace, LearnOptions::bounded(limit)).unwrap();
+        let (e, b) = (exact.stats(), bounded.stats());
+        prop_assert_eq!(b.merges, 0);
+        prop_assert_eq!(b.hypotheses_generated, e.hypotheses_generated);
+        prop_assert_eq!(b.peak_set_size, e.peak_set_size);
+        prop_assert_eq!(&b.set_sizes_per_period, &e.set_sizes_per_period);
+        let exact_set: HashSet<_> = exact.hypotheses().iter().collect();
+        let bounded_set: HashSet<_> = bounded.hypotheses().iter().collect();
+        prop_assert_eq!(bounded_set, exact_set);
+    }
+
+    /// Post-processing applies to merged sets too: a bounded result holds
+    /// no duplicate and no hypothesis below another, however many equal
+    /// rows the merges left in the working list.
+    #[test]
+    fn bounded_results_are_antichains(
+        tasks in 3usize..7,
+        model_seed in 0u64..1000,
+        sim_seed in 0u64..1000,
+        bound in 1usize..20,
+    ) {
+        let trace = small_trace(tasks, model_seed, sim_seed, 8);
+        let result = learn(&trace, LearnOptions::bounded(bound)).unwrap();
+        let set = result.hypotheses();
+        for (i, a) in set.iter().enumerate() {
+            for (j, b) in set.iter().enumerate() {
+                if i != j {
+                    prop_assert!(!a.leq(b), "bounded set is not an antichain");
+                }
+            }
+        }
+    }
+
+    /// §3.2's bound holds after every message, not just at the end: no
+    /// working set exceeds it, and a trace whose exact sets outgrow the
+    /// bound forces at least one merge.
+    #[test]
+    fn bounded_working_sets_never_exceed_the_bound(
+        tasks in 3usize..5,
+        model_seed in 0u64..500,
+        sim_seed in 0u64..500,
+        bound in 1usize..12,
+    ) {
+        let trace = small_trace(tasks, model_seed, sim_seed, 5);
+        let exact = learn(&trace, LearnOptions::exact()).unwrap();
+        let bounded = learn(&trace, LearnOptions::bounded(bound)).unwrap();
+        let stats = bounded.stats();
+        prop_assert!(stats.peak_set_size <= bound);
+        prop_assert!(stats.set_sizes_per_period.iter().all(|&n| n <= bound));
+        if exact.stats().peak_set_size > bound {
+            prop_assert!(stats.merges > 0, "exact set outgrew the bound without a merge");
         }
     }
 }
